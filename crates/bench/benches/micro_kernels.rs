@@ -26,7 +26,7 @@ use diffy_sim::{
     term_serial_layer, term_serial_layer_reference, term_serial_layer_with_terms,
     AcceleratorConfig, Architecture, PaddedTerms, ValueMode,
 };
-use diffy_tensor::{conv2d, conv2d_fast, conv2d_im2col, ConvGeometry, Tensor3, Tensor4};
+use diffy_tensor::{conv2d, conv2d_fast, ConvGeometry, Tensor3, Tensor4};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
@@ -108,9 +108,6 @@ fn bench_conv(c: &mut Criterion) {
     });
     g.bench_function("fast", |b| {
         b.iter(|| conv2d_fast(black_box(&imap), black_box(&fmaps), None, geom))
-    });
-    g.bench_function("im2col", |b| {
-        b.iter(|| conv2d_im2col(black_box(&imap), black_box(&fmaps), None, geom))
     });
     g.bench_function("differential", |b| {
         b.iter(|| differential_conv2d(black_box(&imap), black_box(&fmaps), None, geom))

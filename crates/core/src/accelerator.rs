@@ -6,7 +6,7 @@
 //! double-buffered row dataflow, with the storage scheme setting the
 //! transfer volume.
 
-use crate::parallel::KeyedCache;
+use crate::parallel::Cache;
 use diffy_encoding::StorageScheme;
 use diffy_memsys::overlap::{combine, fps, LayerTiming};
 use diffy_memsys::traffic::{layer_traffic, network_traffic_profiled, LayerTraffic};
@@ -181,7 +181,7 @@ pub fn evaluate_network_batch(
     // them, keyed by trace identity (the borrows outlive the batch, so
     // addresses are stable and unique for its duration). Sharing never
     // changes results — planes are a pure function of the layer.
-    let planes: KeyedCache<(usize, usize), PaddedTerms> = KeyedCache::new();
+    let planes: Cache<(usize, usize), PaddedTerms> = Cache::new(usize::MAX);
     let tasks: Vec<_> = jobs
         .iter()
         .map(|&(trace, opts)| {

@@ -71,7 +71,7 @@ pub use diffy_imaging::datasets::DatasetId;
 pub use diffy_models::CiModel;
 pub use dc::differential_conv2d;
 pub use json::{bench_json_string, json_escape, json_number, BenchRecord, JsonValue};
-pub use parallel::{run_jobs, BoundedCache, Jobs, KeyedCache};
+pub use parallel::{run_jobs, Cache, Jobs, StoreStats};
 pub use runner::{
     ci_trace_bundle, class_trace_bundle, ci_trace_bundles_par, sweep_par, video_frame_bundle,
     CacheStats, SweepCache, SweepJob, TraceBundle, TraceKey, VideoSpec, WorkloadOptions,

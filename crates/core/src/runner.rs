@@ -11,7 +11,7 @@ use crate::accelerator::{
     NetworkResult, SchemeChoice,
 };
 use crate::artifact::{result_key, DiskStats, DiskTier, EvalArtifact};
-use crate::parallel::{run_jobs, BoundedCache, Jobs, KeyedCache};
+use crate::parallel::{run_jobs, Cache, Jobs, StoreStats};
 use diffy_encoding::StorageScheme;
 use diffy_imaging::datasets::DatasetId;
 use diffy_memsys::traffic::LayerTraffic;
@@ -293,23 +293,28 @@ impl From<SchemeChoice> for SchemeKey {
 /// values are interchangeable with fresh regeneration — the cache only
 /// removes the déjà vu of recomputing them for every consumer. Safe to
 /// share across threads; concurrent requests for the same key compute it
-/// once (see [`KeyedCache`]).
+/// once (see [`Cache`]).
 ///
 /// With [`SweepCache::with_disk`] the cache becomes *tiered*: completed
 /// evaluations ([`EvalArtifact`]s, keyed by the canonical
 /// [`result_key`]) are looked up memory-first, then on the disk
 /// artifact store, and only then computed — with a write-through so the
 /// next cold start finds them. See [`SweepCache::evaluate_keyed`].
-#[derive(Default)]
 pub struct SweepCache {
-    weights: Store<(CiModel, u64), NetworkWeights>,
-    traces: Store<TraceKey, TraceBundle>,
-    term_planes: Store<(TraceKey, usize), PaddedTerms>,
-    traffic: Store<(TraceKey, SchemeKey), Vec<LayerTraffic>>,
-    video_frames: Store<(VideoSpec, usize), TraceBundle>,
-    video_cycles: Store<(VideoSpec, usize, VideoEval), NetworkCycles>,
-    results: Store<String, EvalArtifact>,
+    weights: Cache<(CiModel, u64), NetworkWeights>,
+    traces: Cache<TraceKey, TraceBundle>,
+    term_planes: Cache<(TraceKey, usize), PaddedTerms>,
+    traffic: Cache<(TraceKey, SchemeKey), Vec<LayerTraffic>>,
+    video_frames: Cache<(VideoSpec, usize), TraceBundle>,
+    video_cycles: Cache<(VideoSpec, usize, VideoEval), NetworkCycles>,
+    results: Cache<String, EvalArtifact>,
     disk: Option<DiskTier>,
+}
+
+impl Default for SweepCache {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// Which cycle model a cached per-frame video result came from: the full
@@ -321,80 +326,28 @@ enum VideoEval {
     Temporal(TemporalMode),
 }
 
-/// One artifact store of a [`SweepCache`]: either the append-only
-/// compute-once cache (sweeps — every key is revisited, nothing should
-/// ever be dropped) or the size-bounded LRU variant (the long-lived
-/// evaluation service — the key stream is unbounded).
-enum Store<K, V> {
-    Unbounded(KeyedCache<K, V>),
-    Bounded(BoundedCache<K, V>),
+/// The type-erased face of one [`SweepCache`] store, so
+/// [`SweepCache::stats`] and [`SweepCache::clear`] walk one list.
+trait AnyCache {
+    fn stats(&self) -> StoreStats;
+    fn clear(&self);
 }
 
-impl<K: Eq + std::hash::Hash + Clone, V> Store<K, V> {
-    fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> Arc<V> {
-        match self {
-            Store::Unbounded(c) => c.get_or_compute(key, compute),
-            Store::Bounded(c) => c.get_or_compute(key, compute),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Store::Unbounded(c) => c.len(),
-            Store::Bounded(c) => c.len(),
-        }
-    }
-
-    fn hits(&self) -> u64 {
-        match self {
-            Store::Unbounded(c) => c.hits(),
-            Store::Bounded(c) => c.hits(),
-        }
-    }
-
-    fn misses(&self) -> u64 {
-        match self {
-            Store::Unbounded(c) => c.misses(),
-            Store::Bounded(c) => c.misses(),
-        }
-    }
-
-    fn evictions(&self) -> u64 {
-        match self {
-            Store::Unbounded(_) => 0,
-            Store::Bounded(c) => c.evictions(),
-        }
-    }
-
-    /// Requests that waited on another thread's in-flight computation.
-    /// The unbounded cache counts these as hits (documented there), so
-    /// only the bounded variant reports them separately.
-    fn shared(&self) -> u64 {
-        match self {
-            Store::Unbounded(_) => 0,
-            Store::Bounded(c) => c.shared(),
-        }
+impl<K: Eq + std::hash::Hash + Clone, V> AnyCache for Cache<K, V> {
+    fn stats(&self) -> StoreStats {
+        Cache::stats(self)
     }
 
     fn clear(&self) {
-        match self {
-            Store::Unbounded(c) => c.clear(),
-            Store::Bounded(c) => c.clear(),
-        }
-    }
-}
-
-impl<K: Eq + std::hash::Hash + Clone, V> Default for Store<K, V> {
-    fn default() -> Self {
-        Store::Unbounded(KeyedCache::new())
+        Cache::clear(self)
     }
 }
 
 /// A point-in-time summary of a [`SweepCache`]'s counters, aggregated
-/// over its weight, trace, term-plane and traffic stores.
+/// over all of its stores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Requests served from a cached (or in-flight) artifact.
+    /// Requests served from a completed cached artifact.
     pub hits: u64,
     /// Requests that computed their artifact.
     pub misses: u64,
@@ -414,7 +367,7 @@ pub struct CacheStats {
     /// currently materialized.
     pub cached_video_cycles: usize,
     /// Requests that waited on another thread's in-flight computation
-    /// (bounded stores only — neither a clean hit nor a fresh miss).
+    /// (neither a clean hit nor a fresh miss).
     pub shared: u64,
     /// Distinct complete evaluation results currently materialized in
     /// the memory tier.
@@ -427,7 +380,7 @@ impl SweepCache {
     /// An empty, *unbounded* cache — the sweep default: every artifact is
     /// kept for the lifetime of the cache.
     pub fn new() -> Self {
-        Self::default()
+        Self::bounded(usize::MAX, usize::MAX)
     }
 
     /// An empty, *size-bounded* cache for long-lived processes: at most
@@ -442,20 +395,20 @@ impl SweepCache {
     /// Panics if either capacity is zero.
     pub fn bounded(traces: usize, term_planes: usize) -> Self {
         Self {
-            weights: Store::Bounded(BoundedCache::new(traces)),
-            traces: Store::Bounded(BoundedCache::new(traces)),
-            term_planes: Store::Bounded(BoundedCache::new(term_planes)),
+            weights: Cache::new(traces),
+            traces: Cache::new(traces),
+            term_planes: Cache::new(term_planes),
             // Traffic vectors are small (a few structs per layer); keep
             // several schemes' worth per resident trace.
-            traffic: Store::Bounded(BoundedCache::new(traces.saturating_mul(8))),
+            traffic: Cache::new(traces.saturating_mul(8)),
             // Video frame bundles are trace-sized; cycle results are a
             // handful of counters per layer.
-            video_frames: Store::Bounded(BoundedCache::new(traces)),
-            video_cycles: Store::Bounded(BoundedCache::new(traces.saturating_mul(8))),
+            video_frames: Cache::new(traces),
+            video_cycles: Cache::new(traces.saturating_mul(8)),
             // Complete results are small (a few counters per layer);
             // keep several schemes/architectures' worth per resident
             // trace.
-            results: Store::Bounded(BoundedCache::new(traces.saturating_mul(8))),
+            results: Cache::new(traces.saturating_mul(8)),
             disk: None,
         }
     }
@@ -739,45 +692,38 @@ impl SweepCache {
         self.traffic.len()
     }
 
+    /// Every store, in [`CacheStats`] field order.
+    fn stores(&self) -> [&dyn AnyCache; 7] {
+        [
+            &self.weights,
+            &self.traces,
+            &self.term_planes,
+            &self.traffic,
+            &self.video_frames,
+            &self.video_cycles,
+            &self.results,
+        ]
+    }
+
     /// Aggregate hit/miss/eviction counters and residency, for the
     /// service's `/metrics` endpoint.
     pub fn stats(&self) -> CacheStats {
+        let per_store = self.stores().map(|c| c.stats());
+        let total = per_store.into_iter().fold(StoreStats::default(), |a, b| a + b);
+        let [weights, traces, term_planes, traffic, video_frames, video_cycles, results] =
+            per_store;
         CacheStats {
-            hits: self.weights.hits()
-                + self.traces.hits()
-                + self.term_planes.hits()
-                + self.traffic.hits()
-                + self.video_frames.hits()
-                + self.video_cycles.hits()
-                + self.results.hits(),
-            misses: self.weights.misses()
-                + self.traces.misses()
-                + self.term_planes.misses()
-                + self.traffic.misses()
-                + self.video_frames.misses()
-                + self.video_cycles.misses()
-                + self.results.misses(),
-            evictions: self.weights.evictions()
-                + self.traces.evictions()
-                + self.term_planes.evictions()
-                + self.traffic.evictions()
-                + self.video_frames.evictions()
-                + self.video_cycles.evictions()
-                + self.results.evictions(),
-            cached_weights: self.weights.len(),
-            cached_traces: self.traces.len(),
-            cached_term_planes: self.term_planes.len(),
-            cached_traffic: self.traffic.len(),
-            cached_video_frames: self.video_frames.len(),
-            cached_video_cycles: self.video_cycles.len(),
-            shared: self.weights.shared()
-                + self.traces.shared()
-                + self.term_planes.shared()
-                + self.traffic.shared()
-                + self.video_frames.shared()
-                + self.video_cycles.shared()
-                + self.results.shared(),
-            cached_results: self.results.len(),
+            hits: total.hits,
+            misses: total.misses,
+            evictions: total.evictions,
+            cached_weights: weights.len,
+            cached_traces: traces.len,
+            cached_term_planes: term_planes.len,
+            cached_traffic: traffic.len,
+            cached_video_frames: video_frames.len,
+            cached_video_cycles: video_cycles.len,
+            shared: total.shared,
+            cached_results: results.len,
             disk: self.disk.as_ref().map(DiskTier::stats).unwrap_or_default(),
         }
     }
@@ -785,13 +731,9 @@ impl SweepCache {
     /// Drops every cached artifact (counters are preserved). Subsequent
     /// requests recompute — results are unchanged, only cost.
     pub fn clear(&self) {
-        self.weights.clear();
-        self.traces.clear();
-        self.term_planes.clear();
-        self.traffic.clear();
-        self.video_frames.clear();
-        self.video_cycles.clear();
-        self.results.clear();
+        for c in self.stores() {
+            c.clear();
+        }
     }
 
     /// Evaluates a heterogeneous batch of points, fanning out over `par`
@@ -1200,6 +1142,41 @@ mod tests {
         assert_eq!(s.cached_traces, 0);
         assert_eq!(s.cached_weights, 0);
         assert_eq!((s.hits, s.misses), (1, 2), "counters survive clear");
+    }
+
+    #[test]
+    fn unbounded_sweep_cache_counts_in_flight_waiters_as_shared() {
+        // The unbounded sweep cache runs the same accounting as the
+        // bounded one: a request that arrives while another thread's
+        // computation for its key is in flight is `shared`, not a hit.
+        use std::sync::mpsc;
+        let cache = SweepCache::new();
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
+        let cache = &cache;
+        let key = (CiModel::Ircnn, 1);
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                cache.weights.get_or_compute(key, || {
+                    entered_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    ci_weights(key.0, key.1)
+                });
+            });
+            entered_rx.recv().unwrap();
+            // The computation is now provably in flight.
+            let waiter = s.spawn(|| cache.weights(key.0, key.1));
+            // Release only once the waiter has classified itself.
+            while cache.weights.accesses() < 2 {
+                std::thread::yield_now();
+            }
+            release_tx.send(()).unwrap();
+            waiter.join().unwrap();
+        });
+        let s = cache.stats();
+        assert_eq!((s.misses, s.shared, s.hits), (1, 1, 0), "{s:?}");
+        cache.weights(key.0, key.1);
+        assert_eq!(cache.stats().hits, 1, "completed-value lookups stay hits");
     }
 
     #[test]

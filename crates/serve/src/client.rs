@@ -167,18 +167,7 @@ impl KeepAliveClient {
         path: &str,
         body: Option<&str>,
     ) -> io::Result<HttpResponse> {
-        self.request_raw(method, path, body.unwrap_or("").as_bytes())
-    }
-
-    /// Issues one request whose body is raw bytes. The shard router
-    /// forwards downstream request bodies through this path verbatim, so
-    /// a byte-for-byte relay never depends on the body being UTF-8.
-    pub fn request_raw(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: &[u8],
-    ) -> io::Result<HttpResponse> {
+        let body = body.unwrap_or("").as_bytes();
         let reused = self.conn.is_some();
         match self.attempt(method, path, body) {
             // A reused socket may have been closed under us (idle

@@ -97,33 +97,13 @@ pub fn closed_loop_mode(
     timeout: Duration,
     mode: LoadMode,
 ) -> LoadReport {
-    closed_loop_bodies(addr, &[body], concurrency, requests_per_client, timeout, mode)
-}
-
-/// [`closed_loop_mode`] with a body *mix*: client `i` drives
-/// `bodies[i % bodies.len()]` for its whole allotment. Against a sharded
-/// ensemble this is the shard-aware load shape — distinct trace keys
-/// hash to distinct partitions, so the mix exercises the router's
-/// fan-out instead of funneling every client onto one shard's cache.
-pub fn closed_loop_bodies(
-    addr: SocketAddr,
-    bodies: &[&str],
-    concurrency: usize,
-    requests_per_client: usize,
-    timeout: Duration,
-    mode: LoadMode,
-) -> LoadReport {
     assert!(concurrency >= 1 && requests_per_client >= 1);
-    assert!(!bodies.is_empty(), "need at least one load body");
     if let LoadMode::Batch(size) = mode {
         assert!(size >= 1, "batch size must be at least 1");
     }
     let started = Instant::now();
     let clients: Vec<_> = (0..concurrency)
-        .map(|i| {
-            let body = bodies[i % bodies.len()];
-            move || run_client(addr, body, requests_per_client, timeout, mode)
-        })
+        .map(|_| move || run_client(addr, body, requests_per_client, timeout, mode))
         .collect();
     let outcomes = run_jobs(clients, Jobs::new(concurrency));
     let wall_s = started.elapsed().as_secs_f64();

@@ -187,76 +187,6 @@ pub fn conv2d_fast(
     omap
 }
 
-/// Computes the same convolution as [`conv2d`] by explicit im2col
-/// lowering: every sliding window is materialized as a matrix row and the
-/// layer becomes one matrix multiplication — the classic GEMM formulation
-/// most frameworks use, kept here as a third independent implementation
-/// for differential testing.
-///
-/// # Panics
-///
-/// Same conditions as [`conv2d`].
-pub fn conv2d_im2col(
-    imap: &Tensor3<i16>,
-    fmaps: &Tensor4<i16>,
-    bias: Option<&[i64]>,
-    geom: ConvGeometry,
-) -> Tensor3<i64> {
-    let ishape = imap.shape();
-    let fshape = fmaps.shape();
-    assert_eq!(ishape.c, fshape.c, "channel mismatch: imap {} vs fmaps {}", ishape.c, fshape.c);
-    if let Some(b) = bias {
-        assert_eq!(b.len(), fshape.k, "bias length {} != filters {}", b.len(), fshape.k);
-    }
-    let oshape = geom.out_shape(ishape, fshape);
-    let mut omap = Tensor3::<i64>::new(oshape.c, oshape.h, oshape.w);
-    if oshape.is_empty() {
-        return omap;
-    }
-
-    let patch = fshape.c * fshape.h * fshape.w;
-    let windows = oshape.h * oshape.w;
-    let pad = geom.pad as isize;
-    let stride = geom.stride as isize;
-    let dil = geom.dilation as isize;
-
-    // Lower the imap: one row per window, one column per filter weight.
-    let mut cols = vec![0i16; windows * patch];
-    for oy in 0..oshape.h {
-        for ox in 0..oshape.w {
-            let row = (oy * oshape.w + ox) * patch;
-            let mut idx = row;
-            for c in 0..fshape.c {
-                for j in 0..fshape.h {
-                    let iy = oy as isize * stride - pad + j as isize * dil;
-                    for i in 0..fshape.w {
-                        let ix = ox as isize * stride - pad + i as isize * dil;
-                        cols[idx] = imap.at_padded(c, iy, ix, 0);
-                        idx += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    // GEMM: omap[n][w] = fmaps[n] . cols[w] + bias[n].
-    for n in 0..fshape.k {
-        let weights = fmaps.filter(n);
-        let b = bias.map(|b| b[n]).unwrap_or(0);
-        let out_plane_start = n * windows;
-        let out = omap.as_mut_slice();
-        for w in 0..windows {
-            let patch_slice = &cols[w * patch..(w + 1) * patch];
-            let mut acc = b;
-            for (&wv, &av) in weights.iter().zip(patch_slice.iter()) {
-                acc += wv as i64 * av as i64;
-            }
-            out[out_plane_start + w] = acc;
-        }
-    }
-    omap
-}
-
 /// Requantizes a wide accumulator omap back to 16-bit activations by an
 /// arithmetic right shift (rounding toward negative infinity, as a hardware
 /// shifter does) followed by saturation.
@@ -384,31 +314,6 @@ mod tests {
                     let a = conv2d(&imap, &fmaps, Some(&bias), geom);
                     let b = conv2d_fast(&imap, &fmaps, Some(&bias), geom);
                     assert_eq!(a, b, "geom {geom:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn im2col_conv_matches_reference_across_geometries() {
-        let data: Vec<i16> = (0..3 * 8 * 10)
-            .map(|i| ((i * 2654435761u64 as usize) % 401) as i16 - 200)
-            .collect();
-        let imap = Tensor3::from_vec(3, 8, 10, data);
-        let wdata: Vec<i16> = (0..4 * 3 * 3 * 3)
-            .map(|i| ((i * 7919) % 127) as i16 - 63)
-            .collect();
-        let fmaps = Tensor4::from_vec(4, 3, 3, 3, wdata);
-        let bias = vec![3i64, -3, 0, 11];
-        for stride in 1..=2usize {
-            for pad in 0..=1usize {
-                for dilation in 1..=2usize {
-                    let geom = ConvGeometry { stride, pad, dilation };
-                    assert_eq!(
-                        conv2d(&imap, &fmaps, Some(&bias), geom),
-                        conv2d_im2col(&imap, &fmaps, Some(&bias), geom),
-                        "geom {geom:?}"
-                    );
                 }
             }
         }

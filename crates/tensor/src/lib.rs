@@ -43,7 +43,7 @@ pub mod shape;
 pub mod stats;
 pub mod tensor;
 
-pub use conv::{conv2d, conv2d_fast, conv2d_im2col, requantize};
+pub use conv::{conv2d, conv2d_fast, requantize};
 pub use fixed::{sat16, Act, Quantizer, ACT_BITS};
 pub use shape::{ConvGeometry, Shape3, Shape4};
 pub use tensor::{Tensor3, Tensor4};

@@ -113,10 +113,6 @@ options:
 
 serve options:
   --addr HOST:PORT  bind address (default 127.0.0.1:7878; port 0 = ephemeral)
-  --shards N        run N server instances behind a consistent-hash router
-                    bound at --addr, each owning a cache partition keyed by
-                    trace key, >= 1 (default 1 = no router); instances bind
-                    ephemeral loopback ports, printed at startup
   --queue-depth N   admission-queue capacity, >= 1 (default 32); full -> 503
   --deadline-ms N   per-request deadline budget, >= 1 (default 30000)
   --max-requests-per-conn N
@@ -433,36 +429,12 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
         return Err("--warmup requires --artifact-dir".to_string());
     }
     config.trace_capture = parse_flag(rest, "--trace-out")?.is_some();
-    let shards: usize = match parse_flag(rest, "--shards")? {
-        None => 1,
-        Some(v) => v
-            .parse()
-            .ok()
-            .filter(|&n: &usize| n >= 1)
-            .ok_or_else(|| format!("bad --shards {v} (want an integer >= 1)"))?,
-    };
-    let endpoints = "POST /evaluate | POST /evaluate/batch | POST /session | POST /session/{id}/frame | DELETE /session/{id} | GET /metrics | GET /trace | GET /healthz | POST /shutdown";
-    if shards > 1 {
-        let sharded = diffy::serve::ShardedServer::bind(diffy::serve::ShardedConfig {
-            addr: config.addr.clone(),
-            shards,
-            base: config,
-            ..Default::default()
-        })
-        .map_err(|e| format!("bind failed: {e}"))?;
-        println!(
-            "diffy-serve router on http://{} fanning out to {shards} shards",
-            sharded.local_addr()
-        );
-        for (i, addr) in sharded.shard_addrs().iter().enumerate() {
-            println!("  shard {i}: http://{addr}");
-        }
-        println!("{endpoints}");
-        return sharded.run().map_err(|e| format!("server failed: {e}"));
-    }
     let server = diffy::serve::Server::bind(config).map_err(|e| format!("bind failed: {e}"))?;
     println!("diffy-serve listening on http://{}", server.local_addr());
-    println!("{endpoints}");
+    println!(
+        "POST /evaluate | POST /evaluate/batch | POST /session | POST /session/{{id}}/frame | \
+         DELETE /session/{{id}} | GET /metrics | GET /trace | GET /healthz | POST /shutdown"
+    );
     server.run().map_err(|e| format!("server failed: {e}"))
 }
 

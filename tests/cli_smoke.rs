@@ -182,28 +182,6 @@ fn serve_rejects_bad_flag_values() {
 }
 
 #[test]
-fn serve_rejects_bad_shard_counts() {
-    let out = diffy(&["serve", "--shards", "0"]);
-    assert!(!out.status.success(), "--shards 0 must fail");
-    assert!(stderr(&out).contains("bad --shards 0"), "stderr: {}", stderr(&out));
-
-    let out = diffy(&["serve", "--shards", "many"]);
-    assert!(!out.status.success(), "non-numeric --shards must fail");
-    assert!(stderr(&out).contains("bad --shards many"), "stderr: {}", stderr(&out));
-
-    let out = diffy(&["serve", "--shards"]);
-    assert!(!out.status.success(), "--shards without value must fail");
-    assert!(stderr(&out).contains("--shards needs a value"), "stderr: {}", stderr(&out));
-}
-
-#[test]
-fn usage_mentions_shards() {
-    let out = diffy(&["help"]);
-    assert!(out.status.success());
-    assert!(stdout(&out).contains("--shards"), "usage must document --shards");
-}
-
-#[test]
 fn serve_rejects_unbindable_address() {
     // A malformed bind address must fail fast with a bind error, not hang.
     let out = diffy(&["serve", "--addr", "not-an-address"]);
