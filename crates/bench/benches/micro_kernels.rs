@@ -14,7 +14,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use diffy_bench::{bench_smoke, time_kernel, write_bench_json, BenchRecord};
 use diffy_core::dc::differential_conv2d;
-use diffy_core::runner::{sweep_par, SweepCache, SweepJob, WorkloadOptions};
+use diffy_core::runner::{EvalPoint, SweepCache, WorkloadOptions};
 use diffy_core::{EvalOptions, SchemeChoice};
 use diffy_encoding::bitstream::BitWriter;
 use diffy_encoding::delta::{delta_rows_wrapping, undelta_rows_wrapping};
@@ -280,12 +280,13 @@ fn bench_term_serial(_c: &mut Criterion) {
     } else {
         WorkloadOptions { resolution: 96, samples_per_dataset: 1, seed: 1 }
     };
-    let jobs: Vec<SweepJob> = [Architecture::Vaa, Architecture::Pra, Architecture::Diffy]
+    let jobs: Vec<EvalPoint> = [Architecture::Vaa, Architecture::Pra, Architecture::Diffy]
         .into_iter()
-        .map(|arch| SweepJob {
+        .map(|arch| EvalPoint {
             model: CiModel::Ircnn,
             dataset: DatasetId::Kodak24,
             sample: 0,
+            workload: opts,
             eval: EvalOptions::new(arch, SchemeChoice::Ideal),
         })
         .collect();
@@ -294,10 +295,7 @@ fn bench_term_serial(_c: &mut Criterion) {
         1,
         Duration::ZERO,
         Some(jobs.len() as u64),
-        || {
-            let cache = SweepCache::new();
-            sweep_par(&jobs, &opts, diffy_bench::bench_jobs(), &cache)
-        },
+        || SweepCache::new().evaluate_points(&jobs, diffy_bench::bench_jobs()),
     );
     println!(
         "end-to-end sweep ({} jobs, fresh cache): {:.1} ms",

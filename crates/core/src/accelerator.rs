@@ -6,7 +6,6 @@
 //! double-buffered row dataflow, with the storage scheme setting the
 //! transfer volume.
 
-use crate::parallel::Cache;
 use diffy_encoding::StorageScheme;
 use diffy_memsys::overlap::{combine, fps, LayerTiming};
 use diffy_memsys::traffic::{layer_traffic, network_traffic_profiled, LayerTraffic};
@@ -164,43 +163,9 @@ impl NetworkResult {
     }
 }
 
-/// Evaluates a batch of `(trace, options)` jobs across `par` workers,
-/// returning results **in job order**.
-///
-/// Each job is the self-contained [`evaluate_network`] computation, so
-/// results are bit-identical to a serial loop over the same slice at any
-/// worker count (see [`crate::parallel`]). This is the fan-out point for
-/// architecture comparisons and tiles × memory grids, where one trace is
-/// evaluated under many options.
-pub fn evaluate_network_batch(
-    jobs: &[(&NetworkTrace, EvalOptions)],
-    par: crate::parallel::Jobs,
-) -> Vec<NetworkResult> {
-    // Jobs in one batch frequently evaluate the *same* trace under many
-    // architectures/configurations; share each layer's term planes across
-    // them, keyed by trace identity (the borrows outlive the batch, so
-    // addresses are stable and unique for its duration). Sharing never
-    // changes results — planes are a pure function of the layer.
-    let planes: Cache<(usize, usize), PaddedTerms> = Cache::new(usize::MAX);
-    let tasks: Vec<_> = jobs
-        .iter()
-        .map(|&(trace, opts)| {
-            let planes = &planes;
-            move || {
-                let trace_id = trace as *const NetworkTrace as usize;
-                let source = |i: usize, layer: &LayerTrace| {
-                    planes.get_or_compute((trace_id, i), || PaddedTerms::for_layer(layer))
-                };
-                evaluate_network_with_terms(trace, &opts, Some(&source))
-            }
-        })
-        .collect();
-    crate::parallel::run_jobs(tasks, par)
-}
-
 /// Evaluates a network trace under the given options.
 pub fn evaluate_network(trace: &NetworkTrace, opts: &EvalOptions) -> NetworkResult {
-    evaluate_network_with_terms(trace, opts, None)
+    evaluate_network_with_artifacts(trace, opts, None, None)
 }
 
 /// Per-layer off-chip traffic of a whole trace under one scheme choice.
@@ -234,26 +199,16 @@ pub fn network_scheme_traffic(trace: &NetworkTrace, scheme: SchemeChoice) -> Vec
 /// it to serve memoized traffic. Must be callable from several workers.
 pub type TrafficSource<'a> = &'a (dyn Fn() -> Arc<Vec<LayerTraffic>> + Sync);
 
-/// [`evaluate_network`] over an optional shared term-plane source.
+/// [`evaluate_network`] over optional shared artifact sources.
 ///
 /// The term-serial architectures (PRA, Diffy) draw each layer's
-/// [`PaddedTerms`] from `terms`, so callers evaluating one trace many
-/// times (sweeps, architecture comparisons, tile ladders) amortize the
-/// build; `None` builds fresh planes per layer, exactly once per
-/// evaluation. Results are bit-identical either way.
-pub fn evaluate_network_with_terms(
-    trace: &NetworkTrace,
-    opts: &EvalOptions,
-    terms: Option<TermPlaneSource<'_>>,
-) -> NetworkResult {
-    evaluate_network_with_artifacts(trace, opts, terms, None)
-}
-
-/// [`evaluate_network_with_terms`] over an additional optional traffic
-/// source, so callers can also amortize the storage-scheme traffic model
-/// across evaluations of one `(trace, scheme)` pair. `None` computes
-/// traffic fresh; results are bit-identical either way because traffic
-/// is a pure function of that pair.
+/// [`PaddedTerms`] from `terms`, and the memory model draws the
+/// per-layer traffic vector from `traffic`, so callers evaluating one
+/// trace many times (sweeps, architecture comparisons, tile ladders)
+/// amortize the plane builds and the storage-scheme traffic model.
+/// `None` builds fresh planes per layer and computes traffic fresh,
+/// exactly once per evaluation. Results are bit-identical either way:
+/// both artifacts are pure functions of the trace (and scheme).
 pub fn evaluate_network_with_artifacts(
     trace: &NetworkTrace,
     opts: &EvalOptions,

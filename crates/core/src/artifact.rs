@@ -419,10 +419,13 @@ pub struct DiskTier {
     misses: AtomicU64,
     corrupt: AtomicU64,
     bytes: AtomicU64,
-    /// Per-process sequence for unique temp names; combined with the
-    /// pid, concurrent writers never collide on a temp file.
-    temp_seq: AtomicU64,
 }
+
+/// Process-wide sequence for the temp and probe file names: combined
+/// with the pid, no two writers or probes — in this process or another,
+/// through one `DiskTier` or several over the same directory — ever
+/// collide on a file name.
+static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl DiskTier {
     /// Opens (creating if needed) an artifact directory, probing
@@ -431,7 +434,11 @@ impl DiskTier {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        let probe = dir.join(format!(".writable-probe-{}.tmp", std::process::id()));
+        let probe = dir.join(format!(
+            ".writable-probe-{}.{}.tmp",
+            std::process::id(),
+            TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
         fs::write(&probe, b"probe")?;
         fs::remove_file(&probe)?;
         Ok(Self {
@@ -440,7 +447,6 @@ impl DiskTier {
             misses: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
-            temp_seq: AtomicU64::new(0),
         })
     }
 
@@ -504,7 +510,7 @@ impl DiskTier {
             ".{:016x}.{}.{}.tmp",
             fnv1a64(key.as_bytes()),
             std::process::id(),
-            self.temp_seq.fetch_add(1, Ordering::Relaxed),
+            TEMP_SEQ.fetch_add(1, Ordering::Relaxed),
         ));
         fs::write(&tmp, doc.as_bytes())?;
         if let Err(e) = fs::rename(&tmp, &path) {
@@ -730,6 +736,28 @@ mod tests {
         assert_eq!(all.len(), 1);
         assert_eq!(all[0].0, "k1");
         assert_eq!(all[0].1, a);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_opens_of_one_directory_all_succeed() {
+        // Every open probes writability with a file of its own: threads
+        // of one process opening the same directory must not delete each
+        // other's probe (a per-process probe name made the loser's
+        // `remove_file` fail with NotFound, failing its open).
+        let dir = std::env::temp_dir().join(format!("diffy-art-open-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..200 {
+                        DiskTier::open(&dir).expect("concurrent open succeeds");
+                    }
+                });
+            }
+        });
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -60,9 +60,8 @@ pub mod tile;
 pub mod trace;
 
 pub use accelerator::{
-    evaluate_network, evaluate_network_batch, evaluate_network_with_artifacts,
-    evaluate_network_with_terms, network_scheme_traffic, EvalOptions, NetworkResult,
-    SchemeChoice, TermPlaneSource, TrafficSource,
+    evaluate_network, evaluate_network_with_artifacts, network_scheme_traffic, EvalOptions,
+    NetworkResult, SchemeChoice, TermPlaneSource, TrafficSource,
 };
 pub use artifact::{
     decode_artifact, result_key, ArtifactError, DiskStats, DiskTier, EvalArtifact,
@@ -73,6 +72,6 @@ pub use dc::differential_conv2d;
 pub use json::{bench_json_string, json_escape, json_number, BenchRecord, JsonValue};
 pub use parallel::{run_jobs, Cache, Jobs, StoreStats};
 pub use runner::{
-    ci_trace_bundle, class_trace_bundle, ci_trace_bundles_par, sweep_par, video_frame_bundle,
-    CacheStats, SweepCache, SweepJob, TraceBundle, TraceKey, VideoSpec, WorkloadOptions,
+    ci_trace_bundle, class_trace_bundle, video_frame_bundle, CacheStats, SweepCache, TraceBundle,
+    TraceKey, VideoSpec, WorkloadOptions,
 };

@@ -741,12 +741,12 @@ impl SweepCache {
     /// bit-identical to calling [`SweepCache::evaluate`] point by point,
     /// at any worker count.
     ///
-    /// Unlike [`sweep_par`], every point carries its *own* workload, so
-    /// one batch can mix resolutions, seeds, models and architectures;
-    /// points that share keys still materialize each weight set, trace
-    /// and term-plane set at most once through this cache, no matter
-    /// which worker gets there first. This is the substrate both the
-    /// sweep engine and the service's batch endpoint stand on.
+    /// Every point carries its *own* workload, so one batch can mix
+    /// resolutions, seeds, models and architectures; points that share
+    /// keys still materialize each weight set, trace, term-plane set and
+    /// traffic vector at most once through this cache, no matter which
+    /// worker gets there first. This is the one fan-out every sweep
+    /// stands on: `diffy compare`/`sweep`, the report, the benches.
     pub fn evaluate_points(&self, points: &[EvalPoint], par: Jobs) -> Vec<NetworkResult> {
         let tasks: Vec<_> = points
             .iter()
@@ -760,8 +760,7 @@ impl SweepCache {
 }
 
 /// One fully-specified evaluation point: a workload (what to trace) plus
-/// an architecture (what to price it on). [`SweepJob`] is the
-/// shared-workload special case.
+/// an architecture (what to price it on).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalPoint {
     /// Model to trace.
@@ -774,71 +773,6 @@ pub struct EvalPoint {
     pub workload: WorkloadOptions,
     /// Architecture/scheme/memory to evaluate the trace under.
     pub eval: EvalOptions,
-}
-
-/// One unit of sweep work: trace `(model, dataset, sample)` and evaluate
-/// it under `eval`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepJob {
-    /// Model to trace.
-    pub model: CiModel,
-    /// Dataset the sample comes from.
-    pub dataset: DatasetId,
-    /// Sample index within the dataset.
-    pub sample: usize,
-    /// Architecture/scheme/memory to evaluate the trace under.
-    pub eval: EvalOptions,
-}
-
-/// Evaluates every job, fanning out over `par` workers, and returns the
-/// results **in job order** — bit-identical to evaluating the jobs one
-/// by one in a loop, at any worker count (see [`crate::parallel`]).
-///
-/// Traces, weights and per-layer term planes are materialized at most
-/// once per key through `cache`, no matter how many jobs share them or
-/// which worker gets there first.
-pub fn sweep_par(
-    jobs: &[SweepJob],
-    opts: &WorkloadOptions,
-    par: Jobs,
-    cache: &SweepCache,
-) -> Vec<NetworkResult> {
-    let points: Vec<EvalPoint> = jobs
-        .iter()
-        .map(|job| EvalPoint {
-            model: job.model,
-            dataset: job.dataset,
-            sample: job.sample,
-            workload: *opts,
-            eval: job.eval,
-        })
-        .collect();
-    cache.evaluate_points(&points, par)
-}
-
-/// Traces one model across its datasets in parallel: the parallel,
-/// cached counterpart of calling [`ci_trace_bundle`] in a loop.
-///
-/// Output order is `datasets_for(model) × samples`, stable at any worker
-/// count. Samples are capped per dataset at the dataset's size, like the
-/// bench harness does.
-pub fn ci_trace_bundles_par(
-    model: CiModel,
-    opts: &WorkloadOptions,
-    par: Jobs,
-    cache: &SweepCache,
-) -> Vec<Arc<TraceBundle>> {
-    let mut pairs = Vec::new();
-    for dataset in datasets_for(model) {
-        for sample in 0..opts.samples_per_dataset.min(dataset.samples()) {
-            pairs.push((dataset, sample));
-        }
-    }
-    let tasks: Vec<_> = pairs
-        .into_iter()
-        .map(|(dataset, sample)| move || cache.bundle(model, dataset, sample, opts))
-        .collect();
-    run_jobs(tasks, par)
 }
 
 /// The datasets a CI model is evaluated on (all of Table II; callers cap
@@ -941,26 +875,6 @@ mod tests {
         }
         assert_eq!(cache.cached_traces(), 3, "distinct keys must not collide");
         assert_eq!(cache.cached_weights(), 2, "weights keyed by seed only");
-    }
-
-    #[test]
-    fn parallel_bundles_match_serial_order_and_content() {
-        let opts = WorkloadOptions::test_small();
-        let cache = SweepCache::new();
-        let par = ci_trace_bundles_par(CiModel::FfdNet, &opts, Jobs::new(4), &cache);
-        // Serial reference: same nested loop, fresh artifacts.
-        let mut serial = Vec::new();
-        for dataset in datasets_for(CiModel::FfdNet) {
-            for sample in 0..opts.samples_per_dataset.min(dataset.samples()) {
-                serial.push(ci_trace_bundle(CiModel::FfdNet, dataset, sample, &opts));
-            }
-        }
-        assert_eq!(par.len(), serial.len());
-        for (p, s) in par.iter().zip(&serial) {
-            assert_eq!(p.dataset, s.dataset);
-            assert_eq!(p.sample, s.sample);
-            assert_eq!(p.trace.output, s.trace.output);
-        }
     }
 
     #[test]
@@ -1076,25 +990,27 @@ mod tests {
     }
 
     #[test]
-    fn sweep_par_shares_planes_and_matches_serial() {
-        // A sweep of several architectures over one sample: results must
-        // match job-by-job serial evaluation, and the cache must hold one
-        // plane set per layer regardless of worker count.
+    fn evaluate_points_shares_planes_and_matches_serial() {
+        // Several architectures over one sample, fanned over 3 workers:
+        // results must match point-by-point fresh evaluation, and the
+        // cache must hold one plane set per layer regardless of which
+        // worker built it.
         let opts = WorkloadOptions::test_small();
-        let mut jobs = Vec::new();
-        for arch in [Architecture::Pra, Architecture::Diffy, Architecture::Pra] {
-            jobs.push(SweepJob {
+        let points: Vec<EvalPoint> = [Architecture::Pra, Architecture::Diffy, Architecture::Pra]
+            .into_iter()
+            .map(|arch| EvalPoint {
                 model: CiModel::Ircnn,
                 dataset: DatasetId::Hd33,
                 sample: 0,
+                workload: opts,
                 eval: EvalOptions::new(arch, SchemeChoice::Ideal),
-            });
-        }
+            })
+            .collect();
         let cache = SweepCache::new();
-        let par = sweep_par(&jobs, &opts, Jobs::new(3), &cache);
+        let par = cache.evaluate_points(&points, Jobs::new(3));
         let fresh = ci_trace_bundle(CiModel::Ircnn, DatasetId::Hd33, 0, &opts);
-        for (r, job) in par.iter().zip(&jobs) {
-            assert_eq!(*r, fresh.evaluate(&job.eval));
+        for (r, p) in par.iter().zip(&points) {
+            assert_eq!(*r, fresh.evaluate(&p.eval));
         }
         assert_eq!(cache.cached_traces(), 1);
         assert_eq!(cache.cached_term_planes(), fresh.trace.layers.len());

@@ -6,9 +6,9 @@
 //! `peek` sweep cost one syscall per parked connection every 5 ms, which
 //! is exactly the O(idle) tax `epoll` exists to remove. std has no
 //! readiness API, and the workspace takes no external crates, so the
-//! Linux implementation declares the four syscalls it needs via
-//! `extern "C"` — the same no-new-deps discipline as the server's
-//! `signal` handler (std already links libc on unix).
+//! module declares the syscalls it needs via `extern "C"` — the same
+//! no-new-deps discipline as the server's `signal` handler (std already
+//! links libc on Linux).
 //!
 //! # Model
 //!
@@ -24,10 +24,18 @@
 //!
 //! # Portability
 //!
-//! On non-Linux targets a fallback with the same API polls registered
-//! sockets with non-blocking `peek`s on a short tick — the old parker's
-//! cadence, kept only so the crate still builds and serves elsewhere;
-//! the production target (and CI) is Linux.
+//! Linux only: the event loop is built on epoll and eventfd, and the
+//! crate refuses to compile elsewhere rather than fall back to a
+//! sweep-based poller no build ever exercised.
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("diffy-serve's event loop needs epoll: the service builds on Linux only");
+
+use std::io;
+use std::net::{TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 /// Token reserved by the server's event loop for its listener.
 pub const LISTENER_TOKEN: u64 = 0;
@@ -39,334 +47,208 @@ pub const FIRST_CONN_TOKEN: u64 = 2;
 /// Internal token for the wake eventfd; never returned from `wait`.
 const WAKE_TOKEN: u64 = u64::MAX;
 
-#[cfg(target_os = "linux")]
-mod sys {
-    use super::WAKE_TOKEN;
-    use std::io;
-    use std::net::{TcpListener, TcpStream};
-    use std::os::fd::AsRawFd;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::time::Duration;
+// Values from the Linux UAPI headers; stable ABI, identical across
+// architectures the workspace targets.
+const EPOLL_CLOEXEC: i32 = 0o2000000;
+const EPOLL_CTL_ADD: i32 = 1;
+const EPOLL_CTL_DEL: i32 = 2;
+const EPOLLIN: u32 = 0x001;
+const EPOLLRDHUP: u32 = 0x2000;
+const EFD_CLOEXEC: i32 = 0o2000000;
+const EFD_NONBLOCK: i32 = 0o4000;
+const EINTR: i32 = 4;
 
-    // Values from the Linux UAPI headers; stable ABI, identical across
-    // architectures the workspace targets.
-    const EPOLL_CLOEXEC: i32 = 0o2000000;
-    const EPOLL_CTL_ADD: i32 = 1;
-    const EPOLL_CTL_DEL: i32 = 2;
-    const EPOLLIN: u32 = 0x001;
-    const EPOLLRDHUP: u32 = 0x2000;
-    const EFD_CLOEXEC: i32 = 0o2000000;
-    const EFD_NONBLOCK: i32 = 0o4000;
-    const EINTR: i32 = 4;
+/// `struct epoll_event`. Packed on x86 (the kernel ABI there),
+/// naturally aligned elsewhere (e.g. aarch64) — matching libc.
+#[repr(C)]
+#[cfg_attr(any(target_arch = "x86", target_arch = "x86_64"), repr(packed))]
+#[derive(Clone, Copy)]
+struct EpollEvent {
+    events: u32,
+    data: u64,
+}
 
-    /// `struct epoll_event`. Packed on x86 (the kernel ABI there),
-    /// naturally aligned elsewhere (e.g. aarch64) — matching libc.
-    #[repr(C)]
-    #[cfg_attr(any(target_arch = "x86", target_arch = "x86_64"), repr(packed))]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
+/// `struct pollfd` for the one-shot readability wait.
+#[repr(C)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
+const POLLIN_FLAG: i16 = 0x001;
+
+extern "C" {
+    fn epoll_create1(flags: i32) -> i32;
+    fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
+    fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
+    fn eventfd(initval: u32, flags: i32) -> i32;
+    fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
+    fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+    fn close(fd: i32) -> i32;
+    fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
+}
+
+fn last_error() -> io::Error {
+    io::Error::last_os_error()
+}
+
+/// Waits up to `timeout` for `stream` to become readable (data, EOF
+/// or error — anything a read would not block on). Returns `false`
+/// on a clean timeout.
+///
+/// This exists for the worker-side park grace: a blocking `peek`
+/// under `SO_RCVTIMEO` pays kernel timer-tick rounding (a 2 ms
+/// timeout really blocks ~8 ms at HZ=250), which rate-limits how
+/// fast one worker can park idle connections. `poll(2)` timeouts use
+/// high-resolution timers and honor the grace as written.
+pub fn wait_readable(stream: &TcpStream, timeout: Duration) -> io::Result<bool> {
+    let mut pfd = PollFd { fd: stream.as_raw_fd(), events: POLLIN_FLAG, revents: 0 };
+    let ms = timeout.as_millis().clamp(1, i32::MAX as u128) as i32;
+    loop {
+        let n = unsafe { poll(&mut pfd, 1, ms) };
+        if n < 0 {
+            let e = last_error();
+            if e.raw_os_error() == Some(EINTR) {
+                continue;
+            }
+            return Err(e);
+        }
+        // Any revents bit (POLLIN, POLLHUP, POLLERR, ...) means a
+        // read will not block; the caller's peek disambiguates.
+        return Ok(n > 0);
+    }
+}
+
+/// The poller: an epoll fd plus an eventfd wake channel.
+pub struct Poller {
+    epfd: i32,
+    wakefd: i32,
+    /// Registered-socket gauge (diagnostic; also sizes event batches).
+    registered: AtomicU64,
+}
+
+// The fds are plain ints used through &self with thread-safe
+// syscalls (epoll is explicitly multi-thread safe).
+unsafe impl Send for Poller {}
+unsafe impl Sync for Poller {}
+
+impl Poller {
+    /// A fresh epoll instance with its wake channel registered.
+    pub fn new() -> io::Result<Poller> {
+        let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+        if epfd < 0 {
+            return Err(last_error());
+        }
+        let wakefd = unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) };
+        if wakefd < 0 {
+            let e = last_error();
+            unsafe { close(epfd) };
+            return Err(e);
+        }
+        let poller = Poller { epfd, wakefd, registered: AtomicU64::new(0) };
+        poller.add_fd(wakefd, WAKE_TOKEN)?;
+        Ok(poller)
     }
 
-    /// `struct pollfd` for the one-shot readability wait.
-    #[repr(C)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
+    fn add_fd(&self, fd: i32, token: u64) -> io::Result<()> {
+        let mut ev = EpollEvent { events: EPOLLIN | EPOLLRDHUP, data: token };
+        if unsafe { epoll_ctl(self.epfd, EPOLL_CTL_ADD, fd, &mut ev) } < 0 {
+            return Err(last_error());
+        }
+        Ok(())
     }
 
-    const POLLIN_FLAG: i16 = 0x001;
-
-    extern "C" {
-        fn epoll_create1(flags: i32) -> i32;
-        fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-        fn eventfd(initval: u32, flags: i32) -> i32;
-        fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
-        fn close(fd: i32) -> i32;
-        fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
+    fn del_fd(&self, fd: i32) -> io::Result<()> {
+        // Pre-2.6.9 kernels required a non-null event for DEL; pass
+        // one unconditionally.
+        let mut ev = EpollEvent { events: 0, data: 0 };
+        if unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) } < 0 {
+            return Err(last_error());
+        }
+        Ok(())
     }
 
-    fn last_error() -> io::Error {
-        io::Error::last_os_error()
+    /// Watches a listener for pending accepts under `token`.
+    /// Listeners don't count toward the registered-socket gauge.
+    pub fn register_listener(&self, listener: &TcpListener, token: u64) -> io::Result<()> {
+        self.add_fd(listener.as_raw_fd(), token)
     }
 
-    /// Waits up to `timeout` for `stream` to become readable (data, EOF
-    /// or error — anything a read would not block on). Returns `false`
-    /// on a clean timeout.
-    ///
-    /// This exists for the worker-side park grace: a blocking `peek`
-    /// under `SO_RCVTIMEO` pays kernel timer-tick rounding (a 2 ms
-    /// timeout really blocks ~8 ms at HZ=250), which rate-limits how
-    /// fast one worker can park idle connections. `poll(2)` timeouts use
-    /// high-resolution timers and honor the grace as written.
-    pub fn wait_readable(stream: &TcpStream, timeout: Duration) -> io::Result<bool> {
-        let mut pfd = PollFd { fd: stream.as_raw_fd(), events: POLLIN_FLAG, revents: 0 };
-        let ms = timeout.as_millis().clamp(1, i32::MAX as u128) as i32;
-        loop {
-            let n = unsafe { poll(&mut pfd, 1, ms) };
-            if n < 0 {
-                let e = last_error();
-                if e.raw_os_error() == Some(EINTR) {
-                    continue;
-                }
-                return Err(e);
-            }
-            // Any revents bit (POLLIN, POLLHUP, POLLERR, ...) means a
-            // read will not block; the caller's peek disambiguates.
-            return Ok(n > 0);
-        }
+    /// Watches a connection for readability (data or peer close)
+    /// under `token`.
+    pub fn register(&self, stream: &TcpStream, token: u64) -> io::Result<()> {
+        self.add_fd(stream.as_raw_fd(), token)?;
+        self.registered.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
-    /// The Linux poller: an epoll fd plus an eventfd wake channel.
-    pub struct Poller {
-        epfd: i32,
-        wakefd: i32,
-        /// Registered-socket gauge (diagnostic; also sizes event batches).
-        registered: AtomicU64,
+    /// Stops watching a connection registered with [`Poller::register`].
+    pub fn deregister(&self, stream: &TcpStream) -> io::Result<()> {
+        self.del_fd(stream.as_raw_fd())?;
+        self.registered.fetch_sub(1, Ordering::Relaxed);
+        Ok(())
     }
 
-    // The fds are plain ints used through &self with thread-safe
-    // syscalls (epoll is explicitly multi-thread safe).
-    unsafe impl Send for Poller {}
-    unsafe impl Sync for Poller {}
-
-    impl Poller {
-        /// A fresh epoll instance with its wake channel registered.
-        pub fn new() -> io::Result<Poller> {
-            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(last_error());
-            }
-            let wakefd = unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) };
-            if wakefd < 0 {
-                let e = last_error();
-                unsafe { close(epfd) };
-                return Err(e);
-            }
-            let poller = Poller { epfd, wakefd, registered: AtomicU64::new(0) };
-            poller.add_fd(wakefd, WAKE_TOKEN)?;
-            Ok(poller)
-        }
-
-        fn add_fd(&self, fd: i32, token: u64) -> io::Result<()> {
-            let mut ev = EpollEvent { events: EPOLLIN | EPOLLRDHUP, data: token };
-            if unsafe { epoll_ctl(self.epfd, EPOLL_CTL_ADD, fd, &mut ev) } < 0 {
-                return Err(last_error());
-            }
-            Ok(())
-        }
-
-        fn del_fd(&self, fd: i32) -> io::Result<()> {
-            // Pre-2.6.9 kernels required a non-null event for DEL; pass
-            // one unconditionally.
-            let mut ev = EpollEvent { events: 0, data: 0 };
-            if unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) } < 0 {
-                return Err(last_error());
-            }
-            Ok(())
-        }
-
-        /// Watches a listener for pending accepts under `token`.
-        /// Listeners don't count toward the registered-socket gauge.
-        pub fn register_listener(&self, listener: &TcpListener, token: u64) -> io::Result<()> {
-            self.add_fd(listener.as_raw_fd(), token)
-        }
-
-        /// Watches a connection for readability (data or peer close)
-        /// under `token`.
-        pub fn register(&self, stream: &TcpStream, token: u64) -> io::Result<()> {
-            self.add_fd(stream.as_raw_fd(), token)?;
-            self.registered.fetch_add(1, Ordering::Relaxed);
-            Ok(())
-        }
-
-        /// Stops watching a connection registered with [`Poller::register`].
-        pub fn deregister(&self, stream: &TcpStream) -> io::Result<()> {
-            self.del_fd(stream.as_raw_fd())?;
-            self.registered.fetch_sub(1, Ordering::Relaxed);
-            Ok(())
-        }
-
-        /// Currently watched connection count (diagnostic gauge).
-        pub fn registered(&self) -> u64 {
-            self.registered.load(Ordering::Relaxed)
-        }
-
-        /// Wakes a concurrent [`Poller::wait`]. Any-thread safe; a full
-        /// eventfd counter (wake already pending) is success, not error.
-        pub fn wake(&self) {
-            let one = 1u64.to_ne_bytes();
-            unsafe { write(self.wakefd, one.as_ptr(), one.len()) };
-        }
-
-        fn drain_wake(&self) {
-            let mut buf = [0u8; 8];
-            // One read resets a (non-semaphore) eventfd counter to zero.
-            unsafe { read(self.wakefd, buf.as_mut_ptr(), buf.len()) };
-        }
-
-        /// Blocks until at least one registered source is readable, a
-        /// wake arrives, or `timeout` passes; appends ready tokens to
-        /// `out` (cleared first). Wake events are drained internally.
-        pub fn wait(&self, out: &mut Vec<u64>, timeout: Duration) -> io::Result<()> {
-            out.clear();
-            let mut events = [EpollEvent { events: 0, data: 0 }; 128];
-            // Round up so a sub-millisecond timeout still sleeps instead
-            // of spinning; epoll takes i32 milliseconds.
-            let ms = timeout
-                .as_millis()
-                .max(u128::from(!timeout.is_zero() as u8))
-                .min(i32::MAX as u128) as i32;
-            let n = unsafe { epoll_wait(self.epfd, events.as_mut_ptr(), 128, ms) };
-            if n < 0 {
-                let e = last_error();
-                if e.raw_os_error() == Some(EINTR) {
-                    return Ok(());
-                }
-                return Err(e);
-            }
-            for ev in &events[..n as usize] {
-                let token = ev.data; // copy out of the packed struct
-                if token == WAKE_TOKEN {
-                    self.drain_wake();
-                } else {
-                    out.push(token);
-                }
-            }
-            Ok(())
-        }
+    /// Currently watched connection count (diagnostic gauge).
+    pub fn registered(&self) -> u64 {
+        self.registered.load(Ordering::Relaxed)
     }
 
-    impl Drop for Poller {
-        fn drop(&mut self) {
-            unsafe {
-                close(self.wakefd);
-                close(self.epfd);
+    /// Wakes a concurrent [`Poller::wait`]. Any-thread safe; a full
+    /// eventfd counter (wake already pending) is success, not error.
+    pub fn wake(&self) {
+        let one = 1u64.to_ne_bytes();
+        unsafe { write(self.wakefd, one.as_ptr(), one.len()) };
+    }
+
+    fn drain_wake(&self) {
+        let mut buf = [0u8; 8];
+        // One read resets a (non-semaphore) eventfd counter to zero.
+        unsafe { read(self.wakefd, buf.as_mut_ptr(), buf.len()) };
+    }
+
+    /// Blocks until at least one registered source is readable, a
+    /// wake arrives, or `timeout` passes; appends ready tokens to
+    /// `out` (cleared first). Wake events are drained internally.
+    pub fn wait(&self, out: &mut Vec<u64>, timeout: Duration) -> io::Result<()> {
+        out.clear();
+        let mut events = [EpollEvent { events: 0, data: 0 }; 128];
+        // Round up so a sub-millisecond timeout still sleeps instead
+        // of spinning; epoll takes i32 milliseconds.
+        let ms = timeout
+            .as_millis()
+            .max(u128::from(!timeout.is_zero() as u8))
+            .min(i32::MAX as u128) as i32;
+        let n = unsafe { epoll_wait(self.epfd, events.as_mut_ptr(), 128, ms) };
+        if n < 0 {
+            let e = last_error();
+            if e.raw_os_error() == Some(EINTR) {
+                return Ok(());
             }
+            return Err(e);
+        }
+        for ev in &events[..n as usize] {
+            let token = ev.data; // copy out of the packed struct
+            if token == WAKE_TOKEN {
+                self.drain_wake();
+            } else {
+                out.push(token);
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Drop for Poller {
+    fn drop(&mut self) {
+        unsafe {
+            close(self.wakefd);
+            close(self.epfd);
         }
     }
 }
 
-#[cfg(not(target_os = "linux"))]
-mod sys {
-    use std::io;
-    use std::net::{TcpListener, TcpStream};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Mutex;
-    use std::time::{Duration, Instant};
-
-    /// Fallback poll cadence: the old parker's sweep interval.
-    const TICK: Duration = Duration::from_millis(2);
-
-    /// Portable readability wait: a blocking `peek` under a read
-    /// timeout. Timer-tick rounding makes this overshoot `timeout`; the
-    /// Linux build uses `poll(2)` instead.
-    pub fn wait_readable(stream: &TcpStream, timeout: Duration) -> io::Result<bool> {
-        let prev = stream.read_timeout()?;
-        stream.set_read_timeout(Some(timeout))?;
-        let mut probe = [0u8; 1];
-        let out = match stream.peek(&mut probe) {
-            Ok(_) => Ok(true),
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                Ok(false)
-            }
-            // A dead socket is "readable": the caller's read surfaces it.
-            Err(_) => Ok(true),
-        };
-        stream.set_read_timeout(prev)?;
-        out
-    }
-
-    /// Portable fallback: non-blocking `peek` sweeps over registered
-    /// sockets on a short tick. The listener cannot be probed portably,
-    /// so its token is reported every tick and the caller's non-blocking
-    /// `accept` disambiguates — the pre-epoll acceptor's exact cadence.
-    pub struct Poller {
-        streams: Mutex<Vec<(u64, TcpStream)>>,
-        listener_token: Mutex<Option<u64>>,
-        woken: AtomicBool,
-    }
-
-    impl Poller {
-        /// A fresh fallback poller with nothing registered.
-        pub fn new() -> io::Result<Poller> {
-            Ok(Poller {
-                streams: Mutex::new(Vec::new()),
-                listener_token: Mutex::new(None),
-                woken: AtomicBool::new(false),
-            })
-        }
-
-        /// Remembers the listener's token so every wait reports it.
-        pub fn register_listener(&self, _listener: &TcpListener, token: u64) -> io::Result<()> {
-            *self.listener_token.lock().expect("poller poisoned") = Some(token);
-            Ok(())
-        }
-
-        /// Adds a connection to the peek sweep under `token`.
-        pub fn register(&self, stream: &TcpStream, token: u64) -> io::Result<()> {
-            let clone = stream.try_clone()?;
-            self.streams.lock().expect("poller poisoned").push((token, clone));
-            Ok(())
-        }
-
-        /// Removes a connection from the peek sweep.
-        pub fn deregister(&self, stream: &TcpStream) -> io::Result<()> {
-            let peer = stream.peer_addr()?;
-            let mut streams = self.streams.lock().expect("poller poisoned");
-            streams.retain(|(_, s)| s.peer_addr().map(|p| p != peer).unwrap_or(false));
-            Ok(())
-        }
-
-        /// Currently watched connection count (diagnostic gauge).
-        pub fn registered(&self) -> u64 {
-            self.streams.lock().expect("poller poisoned").len() as u64
-        }
-
-        /// Interrupts a concurrent [`Poller::wait`].
-        pub fn wake(&self) {
-            self.woken.store(true, Ordering::SeqCst);
-        }
-
-        /// Sweeps registered sockets until one is readable, a wake
-        /// arrives, or `timeout` passes; appends ready tokens to `out`.
-        pub fn wait(&self, out: &mut Vec<u64>, timeout: Duration) -> io::Result<()> {
-            out.clear();
-            let deadline = Instant::now() + timeout;
-            loop {
-                if self.woken.swap(false, Ordering::SeqCst) {
-                    return Ok(());
-                }
-                {
-                    let streams = self.streams.lock().expect("poller poisoned");
-                    let mut probe = [0u8; 1];
-                    for (token, stream) in streams.iter() {
-                        match stream.peek(&mut probe) {
-                            Ok(_) => out.push(*token),
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                            // Dead socket: readable (EOF/err) to the caller.
-                            Err(_) => out.push(*token),
-                        }
-                    }
-                }
-                if !out.is_empty() || Instant::now() >= deadline {
-                    // The listener may have a pending accept at any time.
-                    if let Some(t) = *self.listener_token.lock().expect("poller poisoned") {
-                        out.push(t);
-                    }
-                    return Ok(());
-                }
-                std::thread::sleep(TICK.min(deadline.saturating_duration_since(Instant::now())));
-            }
-        }
-    }
-}
-
-pub use sys::{wait_readable, Poller};
 
 #[cfg(test)]
 mod tests {

@@ -89,7 +89,7 @@ use crate::poller::{self, Poller, FIRST_CONN_TOKEN, LISTENER_TOKEN};
 use crate::protocol::{error_body, result_to_json, BatchRequest, EvalRequest};
 use crate::session::{self, SessionStore};
 use diffy_core::json::{parse as parse_json, JsonValue};
-use diffy_core::artifact::DiskTier;
+use diffy_core::artifact::{DiskTier, EvalArtifact};
 use diffy_core::parallel::{run_jobs, Jobs};
 use diffy_core::runner::SweepCache;
 use diffy_core::trace;
@@ -443,7 +443,6 @@ impl Shared {
 /// the handler does exactly one atomic store.
 static SIGNAL_DRAIN: AtomicBool = AtomicBool::new(false);
 
-#[cfg(unix)]
 fn install_signal_handler() {
     unsafe extern "C" fn on_signal(_signum: i32) {
         SIGNAL_DRAIN.store(true, Ordering::SeqCst);
@@ -452,16 +451,13 @@ fn install_signal_handler() {
     extern "C" {
         fn signal(signum: i32, handler: Handler) -> isize;
     }
-    // 15 = SIGTERM, 2 = SIGINT; std links libc on unix, so `signal` is
+    // 15 = SIGTERM, 2 = SIGINT; std links libc on Linux, so `signal` is
     // always available without adding a dependency.
     unsafe {
         signal(15, on_signal);
         signal(2, on_signal);
     }
 }
-
-#[cfg(not(unix))]
-fn install_signal_handler() {}
 
 /// A bound evaluation server. [`Server::run`] blocks the calling thread
 /// until shutdown; use [`Server::handle`] (or `POST /shutdown`, or
@@ -982,21 +978,7 @@ fn requeue_or_park(shared: &Shared, mut conn: QueuedConn) {
             Err(_) => return close_conn_quiet(shared, conn),
         };
         if quiet {
-            let idle_deadline =
-                Instant::now() + Duration::from_millis(shared.config.idle_timeout_ms);
-            if conn.writer.set_nonblocking(true).is_err() {
-                return close_conn_quiet(shared, conn);
-            }
-            match shared.parked.try_park(ParkedConn { conn, idle_deadline }) {
-                // The event loop may be mid-wait: wake it to absorb
-                // the inbox and register the socket.
-                Ok(()) => shared.poller.wake(),
-                Err(p) => {
-                    shared.metrics.poller_park_refused_total.fetch_add(1, Ordering::Relaxed);
-                    close_conn_quiet(shared, p.conn);
-                }
-            }
-            return;
+            return park(shared, conn);
         }
         // Readable: bound the peek so a spurious readiness on a
         // blocking socket cannot stall the worker.
@@ -1007,22 +989,8 @@ fn requeue_or_park(shared: &Shared, mut conn: QueuedConn) {
             // request existed: nothing is pending, retire quietly.
             Ok(0) => return close_conn_quiet(shared, conn),
             Ok(_) => {}
-            Err(e)
-                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
-            {
-                let idle_deadline =
-                    Instant::now() + Duration::from_millis(shared.config.idle_timeout_ms);
-                if conn.writer.set_nonblocking(true).is_err() {
-                    return close_conn_quiet(shared, conn);
-                }
-                match shared.parked.try_park(ParkedConn { conn, idle_deadline }) {
-                    Ok(()) => shared.poller.wake(),
-                    Err(p) => {
-                        shared.metrics.poller_park_refused_total.fetch_add(1, Ordering::Relaxed);
-                        close_conn_quiet(shared, p.conn);
-                    }
-                }
-                return;
+            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+                return park(shared, conn)
             }
             Err(_) => return close_conn_quiet(shared, conn),
         }
@@ -1032,6 +1000,25 @@ fn requeue_or_park(shared: &Shared, mut conn: QueuedConn) {
     begin_next_attempt(shared, &mut conn);
     if let Err(conn) = shared.queue.try_push(conn) {
         close_conn(shared, conn, Some(CloseReason::Idle));
+    }
+}
+
+/// Parks a silent keep-alive connection with the event loop (socket
+/// non-blocking, idle window starting now), or retires it quietly when
+/// the lot refuses it.
+fn park(shared: &Shared, conn: QueuedConn) {
+    let idle_deadline = Instant::now() + Duration::from_millis(shared.config.idle_timeout_ms);
+    if conn.writer.set_nonblocking(true).is_err() {
+        return close_conn_quiet(shared, conn);
+    }
+    match shared.parked.try_park(ParkedConn { conn, idle_deadline }) {
+        // The event loop may be mid-wait: wake it to absorb the inbox
+        // and register the socket.
+        Ok(()) => shared.poller.wake(),
+        Err(p) => {
+            shared.metrics.poller_park_refused_total.fetch_add(1, Ordering::Relaxed);
+            close_conn_quiet(shared, p.conn);
+        }
     }
 }
 
@@ -1087,26 +1074,26 @@ fn handle_connection(shared: &Shared, mut conn: QueuedConn) {
     let segs = path_segments(&request.path);
     let healthy = match (request.method.as_str(), segs.as_slice()) {
         ("POST", ["session"]) => {
-            handle_session(shared, &mut conn, dequeued_at, keep, "session_create", |now| {
-                match std::str::from_utf8(&request.body) {
+            serve_request(shared, &mut conn, dequeued_at, keep, Some("session_create"), |_| {
+                session_work(shared, |now| match body_text(&request) {
                     Ok(text) => session::handle_create(&shared.sessions, text, now),
-                    Err(_) => (400, error_body("body must be UTF-8 JSON")),
-                }
+                    Err(resp) => resp,
+                })
             })
         }
         ("POST", ["session", id, "frame"]) => {
-            handle_session(shared, &mut conn, dequeued_at, keep, "session_frame", |now| {
-                match std::str::from_utf8(&request.body) {
+            serve_request(shared, &mut conn, dequeued_at, keep, Some("session_frame"), |_| {
+                session_work(shared, |now| match body_text(&request) {
                     Ok(text) => {
                         session::handle_frame(&shared.sessions, &shared.cache, id, text, now)
                     }
-                    Err(_) => (400, error_body("body must be UTF-8 JSON")),
-                }
+                    Err(resp) => resp,
+                })
             })
         }
         ("DELETE", ["session", id]) => {
-            handle_session(shared, &mut conn, dequeued_at, keep, "session_close", |_now| {
-                session::handle_close(&shared.sessions, id)
+            serve_request(shared, &mut conn, dequeued_at, keep, Some("session_close"), |_| {
+                session_work(shared, |_now| session::handle_close(&shared.sessions, id))
             })
         }
         (_, ["session"] | ["session", _] | ["session", _, "frame"]) => {
@@ -1114,10 +1101,14 @@ fn handle_connection(shared: &Shared, mut conn: QueuedConn) {
         }
         _ => match (request.method.as_str(), request.path.as_str()) {
             ("POST", "/evaluate") => {
-                handle_evaluate(shared, &mut conn, &request, dequeued_at, keep)
+                serve_request(shared, &mut conn, dequeued_at, keep, None, |at| {
+                    handle_evaluate(shared, &request, dequeued_at, at)
+                })
             }
             ("POST", "/evaluate/batch") => {
-                handle_evaluate_batch(shared, &mut conn, &request, dequeued_at, keep)
+                serve_request(shared, &mut conn, dequeued_at, keep, Some("batch"), |at| {
+                    handle_evaluate_batch(shared, &request, dequeued_at, at)
+                })
             }
             ("GET", "/trace") => {
                 let body = trace::Collector::global().snapshot().to_chrome_json().to_json();
@@ -1164,355 +1155,251 @@ fn handle_connection(shared: &Shared, mut conn: QueuedConn) {
     }
 }
 
-/// The `/evaluate` pipeline: parse → trace → evaluate → serialize, with a
-/// cooperative deadline check between every stage.
+/// The accounting every evaluation route shares: a `request` trace span
+/// anchored at the connection's current anchor (accept, or next-request
+/// arrival on reused connections) and tagged with the request id plus,
+/// off `/evaluate`, the route `kind`; the queue-wait stage; the route's
+/// own `work` (handed the anchor its deadline runs from); the timed
+/// response write; and the end-to-end latency sample.
 ///
-/// A "request" trace span anchored at the connection's current anchor
-/// (accept, or next-request arrival on reused connections) covers the
-/// whole pipeline (tagged with the request id); each stage records both a
-/// child span and its `/metrics` stage histogram, and the stages tile the
-/// request end to end — queue wait through response write — so their
-/// durations sum to the latency histogram's sample up to span overhead.
-fn handle_evaluate(
+/// Each stage records both a child span and its `/metrics` histogram,
+/// and the stages tile the request end to end — queue wait through
+/// response write — so their durations sum to the latency sample up to
+/// span overhead.
+fn serve_request(
     shared: &Shared,
     conn: &mut QueuedConn,
-    request: &Request,
     dequeued_at: Instant,
     keep: bool,
+    kind: Option<&'static str>,
+    work: impl FnOnce(Instant) -> (u16, String),
 ) -> bool {
     let anchored_at = conn.anchor;
     let req_id = conn.req_id;
     let collector = trace::Collector::global();
-    let _req_span =
-        collector.span_from("request", collector.ns_of(anchored_at), || vec![("req", req_id.into())]);
+    let _req_span = collector.span_from("request", collector.ns_of(anchored_at), || {
+        let mut args = vec![("req", req_id.into())];
+        args.extend(kind.map(|k| ("kind", k.into())));
+        args
+    });
     let queue_wait = dequeued_at.saturating_duration_since(anchored_at);
-    shared.metrics.stage(Stage::QueueWait).record(queue_wait);
-    collector.record_manual(
-        Stage::QueueWait.name(),
-        collector.ns_of(anchored_at),
-        queue_wait.as_nanos().min(u128::from(u64::MAX)) as u64,
-        Vec::new,
-    );
-
-    let (status, body) = evaluate_stages(shared, request, anchored_at, dequeued_at);
-    if status == 504 {
-        shared.metrics.deadline_expired_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    let write_start = Instant::now();
-    let healthy = {
-        let _s = collector.span(Stage::Write.name());
-        respond(shared, conn, status, &body, keep)
-    };
-    shared.metrics.stage(Stage::Write).record(write_start.elapsed());
+    record_stage_since(shared, Stage::QueueWait, anchored_at, queue_wait);
+    let (status, body) = work(anchored_at);
+    let healthy = timed_stage(shared, Stage::Write, || respond(shared, conn, status, &body, keep));
     shared.metrics.latency.record(anchored_at.elapsed());
     healthy
 }
 
-fn evaluate_stages(
-    shared: &Shared,
-    request: &Request,
-    anchored_at: Instant,
-    dequeued_at: Instant,
-) -> (u16, String) {
-    let collector = trace::Collector::global();
-    let metrics = &shared.metrics;
-    // Stage 0: decode. (Deadline: a request that waited out its budget in
-    // the queue is answered 504 without being parsed at all.) The parse
-    // stage is measured from dequeue so it covers the socket read too.
-    let parse_result = (|| {
-        let Ok(body_text) = std::str::from_utf8(&request.body) else {
-            return Err((400, error_body("body must be UTF-8 JSON")));
-        };
-        let parsed = match parse_json(body_text) {
-            Ok(v) => v,
-            Err(e) => return Err((400, error_body(&format!("bad JSON: {e}")))),
-        };
-        EvalRequest::from_json(&parsed).map_err(|e| (400, error_body(&e)))
-    })();
-    let parse_elapsed = dequeued_at.elapsed();
-    metrics.stage(Stage::Parse).record(parse_elapsed);
-    collector.record_manual(
-        Stage::Parse.name(),
-        collector.ns_of(dequeued_at),
-        parse_elapsed.as_nanos().min(u128::from(u64::MAX)) as u64,
-        Vec::new,
-    );
-    let eval_req = match parse_result {
-        Ok(r) => r,
-        Err(resp) => return resp,
+/// Runs one pipeline stage under its child span and records its
+/// duration in the stage's `/metrics` histogram.
+fn timed_stage<T>(shared: &Shared, stage: Stage, run: impl FnOnce() -> T) -> T {
+    let start = Instant::now();
+    let out = {
+        let _s = trace::Collector::global().span(stage.name());
+        run()
     };
-
-    let budget_ms = eval_req.deadline_ms.unwrap_or(shared.config.deadline_ms);
-    let deadline = anchored_at + Duration::from_millis(budget_ms.min(shared.config.deadline_ms));
-    let expired = |stage: &str| {
-        (504, error_body(&format!("deadline exceeded ({stage})")))
-    };
-    if Instant::now() >= deadline {
-        return expired("queued");
-    }
-
-    if shared.config.test_hooks {
-        if let Some(ms) = eval_req.test_sleep_ms {
-            std::thread::sleep(Duration::from_millis(ms));
-        }
-    }
-
-    // Stage 1: under the tiered store, trace materialization is lazy —
-    // it happens inside the evaluation stage, and only on a full tier
-    // miss (a memory- or disk-hit request never builds a trace at all).
-    // The stage keeps its slot in the span taxonomy and histograms so
-    // the pipeline still tiles end to end; it now brackets only the
-    // request's workload/options decode.
-    let stage_start = Instant::now();
-    let (workload, eval) = {
-        let _s = collector.span(Stage::Trace.name());
-        (eval_req.workload(), eval_req.eval_options())
-    };
-    metrics.stage(Stage::Trace).record(stage_start.elapsed());
-
-    // Stage 2: resolve the result through the tiers — memory result
-    // store, then disk artifacts, then compute (which draws traces and
-    // term planes from the same shared stores the sweeps use).
-    let stage_start = Instant::now();
-    let run = {
-        let _s = collector.span(Stage::Evaluate.name());
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            shared.cache.evaluate_keyed(
-                eval_req.model,
-                eval_req.dataset,
-                eval_req.sample,
-                &workload,
-                &eval,
-            )
-        }))
-    };
-    metrics.stage(Stage::Evaluate).record(stage_start.elapsed());
-    let artifact = match run {
-        Ok(a) => a,
-        Err(_) => return (500, error_body("evaluation failed")),
-    };
-    if Instant::now() >= deadline {
-        return expired("evaluated");
-    }
-
-    // Stage 3: serialize — the exact runner result, deterministically.
-    let stage_start = Instant::now();
-    let body = {
-        let _s = collector.span(Stage::Serialize.name());
-        result_to_json(&artifact.result, artifact.source_pixels).to_json()
-    };
-    metrics.stage(Stage::Serialize).record(stage_start.elapsed());
-    (200, body)
+    shared.metrics.stage(stage).record(start.elapsed());
+    out
 }
 
-/// The `/evaluate/batch` pipeline: one parsed batch fans its items over
-/// the same `run_jobs` pool and shared `SweepCache` the sweeps use, so
-/// weights, traces and per-layer term planes are built once per key
-/// across the whole batch. Items are independent: each reports its own
-/// result or error, in request order, and each result is bit-identical
-/// to the equivalent standalone `POST /evaluate` body.
-fn handle_evaluate_batch(
+/// Records a stage that began before any span could open (queue wait
+/// runs from the anchor, parse from the dequeue): its histogram sample
+/// plus a back-dated child span.
+fn record_stage_since(shared: &Shared, stage: Stage, start: Instant, elapsed: Duration) {
+    shared.metrics.stage(stage).record(elapsed);
+    let collector = trace::Collector::global();
+    collector.record_manual(
+        stage.name(),
+        collector.ns_of(start),
+        elapsed.as_nanos().min(u128::from(u64::MAX)) as u64,
+        Vec::new,
+    );
+}
+
+/// The request body as text, or the route's 400.
+fn body_text(request: &Request) -> Result<&str, (u16, String)> {
+    std::str::from_utf8(&request.body).map_err(|_| (400, error_body("body must be UTF-8 JSON")))
+}
+
+/// The `parse` stage of the JSON evaluation routes: UTF-8, JSON and
+/// `decode`, timed from the dequeue so it covers the socket read too.
+/// Any failure is the route's 400 response.
+fn parse_stage<T>(
     shared: &Shared,
-    conn: &mut QueuedConn,
     request: &Request,
     dequeued_at: Instant,
-    keep: bool,
-) -> bool {
-    let anchored_at = conn.anchor;
-    let req_id = conn.req_id;
-    let collector = trace::Collector::global();
-    let metrics = &shared.metrics;
-    let _req_span = collector.span_from("request", collector.ns_of(anchored_at), || {
-        vec![("req", req_id.into()), ("kind", "batch".into())]
+    decode: impl FnOnce(&JsonValue) -> Result<T, String>,
+) -> Result<T, (u16, String)> {
+    let parsed = body_text(request).and_then(|text| {
+        let v = parse_json(text).map_err(|e| (400, error_body(&format!("bad JSON: {e}"))))?;
+        decode(&v).map_err(|e| (400, error_body(&e)))
     });
-    let queue_wait = dequeued_at.saturating_duration_since(anchored_at);
-    metrics.stage(Stage::QueueWait).record(queue_wait);
-    collector.record_manual(
-        Stage::QueueWait.name(),
-        collector.ns_of(anchored_at),
-        queue_wait.as_nanos().min(u128::from(u64::MAX)) as u64,
-        Vec::new,
-    );
-
-    let parse_result = (|| {
-        let Ok(body_text) = std::str::from_utf8(&request.body) else {
-            return Err((400, error_body("body must be UTF-8 JSON")));
-        };
-        let parsed = match parse_json(body_text) {
-            Ok(v) => v,
-            Err(e) => return Err((400, error_body(&format!("bad JSON: {e}")))),
-        };
-        BatchRequest::from_json(&parsed).map_err(|e| (400, error_body(&e)))
-    })();
-    let parse_elapsed = dequeued_at.elapsed();
-    metrics.stage(Stage::Parse).record(parse_elapsed);
-    collector.record_manual(
-        Stage::Parse.name(),
-        collector.ns_of(dequeued_at),
-        parse_elapsed.as_nanos().min(u128::from(u64::MAX)) as u64,
-        Vec::new,
-    );
-
-    let (status, body) = match parse_result {
-        Err(resp) => resp,
-        Ok(batch) => {
-            metrics.batch_items_total.fetch_add(batch.items.len() as u64, Ordering::Relaxed);
-            let budget_ms = batch.deadline_ms.unwrap_or(shared.config.deadline_ms);
-            let deadline =
-                anchored_at + Duration::from_millis(budget_ms.min(shared.config.deadline_ms));
-
-            // Fan the items over the pool, bounded *globally*: the batch
-            // always gets this serving worker (fan 1 runs inline) plus
-            // however many extra-thread permits remain server-wide, so
-            // W workers all serving batches at once cannot stack W²
-            // evaluation threads. Results come back in item order
-            // (run_jobs is order-stable at any parallelism).
-            let want =
-                batch.items.len().min(shared.config.workers.get()).saturating_sub(1);
-            let extra = shared.batch_fan.acquire_up_to(want);
-            let _permits = PermitGuard { permits: &shared.batch_fan, n: extra };
-            let fan = Jobs::new(1 + extra);
-            let tasks: Vec<_> = batch
-                .items
-                .iter()
-                .map(|item| move || evaluate_batch_item(shared, item, deadline))
-                .collect();
-            let stage_start = Instant::now();
-            let outcomes = {
-                let _s = collector.span(Stage::Evaluate.name());
-                run_jobs(tasks, fan)
-            };
-            drop(_permits);
-            metrics.stage(Stage::Evaluate).record(stage_start.elapsed());
-
-            let expired = outcomes.iter().filter(|(s, _)| *s == 504).count() as u64;
-            if expired > 0 {
-                metrics.deadline_expired_total.fetch_add(expired, Ordering::Relaxed);
-            }
-            let errors = outcomes.iter().filter(|(s, _)| *s != 200).count();
-
-            let stage_start = Instant::now();
-            let body = {
-                let _s = collector.span(Stage::Serialize.name());
-                JsonValue::object(vec![
-                    ("count", outcomes.len().into()),
-                    ("errors", errors.into()),
-                    (
-                        "items",
-                        JsonValue::Array(outcomes.into_iter().map(|(_, v)| v).collect()),
-                    ),
-                ])
-                .to_json()
-            };
-            metrics.stage(Stage::Serialize).record(stage_start.elapsed());
-            (200, body)
-        }
-    };
-
-    let write_start = Instant::now();
-    let healthy = {
-        let _s = collector.span(Stage::Write.name());
-        respond(shared, conn, status, &body, keep)
-    };
-    metrics.stage(Stage::Write).record(write_start.elapsed());
-    metrics.latency.record(anchored_at.elapsed());
-    healthy
+    record_stage_since(shared, Stage::Parse, dequeued_at, dequeued_at.elapsed());
+    parsed
 }
 
-/// Evaluates one batch item: `{"status": 200, "result": {…}}` on
-/// success — the embedded object is byte-identical to the standalone
-/// `POST /evaluate` body — or `{"status": s, "error": "…"}`.
-fn evaluate_batch_item(
+/// The deadline of a request anchored at `anchored_at`: its own budget,
+/// clamped to the server's `--deadline-ms`.
+fn request_deadline(shared: &Shared, anchored_at: Instant, budget_ms: Option<u64>) -> Instant {
+    let max_ms = shared.config.deadline_ms;
+    anchored_at + Duration::from_millis(budget_ms.map_or(max_ms, |ms| ms.min(max_ms)))
+}
+
+/// Evaluates one request — a standalone `/evaluate` or one batch item —
+/// through the shared tiered cache (memory result store, then disk
+/// artifacts, then compute drawing traces and term planes from the
+/// stores the sweeps use). A request already past its deadline is never
+/// evaluated; the test-hook sleep is followed by a second check; a panic
+/// is fenced into a 500. `stage` names the 504's checkpoint.
+fn evaluate_item(
     shared: &Shared,
-    parsed: &Result<EvalRequest, String>,
+    req: &EvalRequest,
     deadline: Instant,
-) -> (u16, JsonValue) {
-    let item_error = |status: u16, msg: &str| {
-        (
-            status,
-            JsonValue::object(vec![
-                ("status", u64::from(status).into()),
-                ("error", JsonValue::from(msg)),
-            ]),
-        )
-    };
-    let req = match parsed {
-        Ok(r) => r,
-        Err(e) => return item_error(400, e),
-    };
+    stage: &str,
+) -> Result<Arc<EvalArtifact>, (u16, String)> {
+    let expired = || Err((504, format!("deadline exceeded ({stage})")));
     if Instant::now() >= deadline {
-        return item_error(504, "deadline exceeded (batch)");
+        return expired();
     }
     if shared.config.test_hooks {
         if let Some(ms) = req.test_sleep_ms {
             std::thread::sleep(Duration::from_millis(ms));
         }
         if Instant::now() >= deadline {
-            return item_error(504, "deadline exceeded (batch)");
+            return expired();
         }
     }
-    let workload = req.workload();
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        shared.cache.evaluate_keyed(req.model, req.dataset, req.sample, &workload, &req.eval_options())
-    }));
-    match run {
-        Err(_) => item_error(500, "evaluation failed"),
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        shared.cache.evaluate_keyed(
+            req.model,
+            req.dataset,
+            req.sample,
+            &req.workload(),
+            &req.eval_options(),
+        )
+    }))
+    .map_err(|_| (500, "evaluation failed".to_string()))
+}
+
+/// The `/evaluate` pipeline: parse → evaluate → serialize, answering 504
+/// the moment the deadline has passed — before evaluation (a request
+/// that waited out its budget in the queue is never evaluated) and
+/// after it.
+fn handle_evaluate(
+    shared: &Shared,
+    request: &Request,
+    dequeued_at: Instant,
+    anchored_at: Instant,
+) -> (u16, String) {
+    let req = match parse_stage(shared, request, dequeued_at, EvalRequest::from_json) {
+        Ok(r) => r,
+        Err(resp) => return resp,
+    };
+    let deadline = request_deadline(shared, anchored_at, req.deadline_ms);
+    let outcome = timed_stage(shared, Stage::Evaluate, || {
+        evaluate_item(shared, &req, deadline, "queued")
+    })
+    .and_then(|artifact| {
+        if Instant::now() >= deadline {
+            return Err((504, "deadline exceeded (evaluated)".to_string()));
+        }
+        Ok(artifact)
+    });
+    match outcome {
         Ok(artifact) => (
             200,
-            JsonValue::object(vec![
-                ("status", 200u64.into()),
-                ("result", result_to_json(&artifact.result, artifact.source_pixels)),
-            ]),
+            timed_stage(shared, Stage::Serialize, || {
+                result_to_json(&artifact.result, artifact.source_pixels).to_json()
+            }),
         ),
+        Err((status, message)) => {
+            if status == 504 {
+                shared.metrics.deadline_expired_total.fetch_add(1, Ordering::Relaxed);
+            }
+            (status, error_body(&message))
+        }
     }
 }
 
-/// Shared pipeline for the three session routes: the request trace span
-/// (tagged with the route kind), queue-wait accounting, a panic-fenced
-/// evaluation stage, and the response write. Session work rides the
-/// `evaluate` stage histogram — frame pricing runs the same engine the
-/// one-shot path does — so `/metrics` needs no new stage taxonomy.
-fn handle_session(
+/// The `/evaluate/batch` pipeline: one parsed batch fans its items over
+/// the same `run_jobs` pool and shared `SweepCache` the sweeps use, so
+/// weights, traces and per-layer term planes are built once per key
+/// across the whole batch. Items are independent: each reports its own
+/// result — `{"status": 200, "result": {…}}`, the embedded object
+/// byte-identical to the standalone `POST /evaluate` body — or
+/// `{"status": s, "error": "…"}`, in request order.
+fn handle_evaluate_batch(
     shared: &Shared,
-    conn: &mut QueuedConn,
+    request: &Request,
     dequeued_at: Instant,
-    keep: bool,
-    kind: &'static str,
-    run: impl FnOnce(Instant) -> (u16, String),
-) -> bool {
-    let anchored_at = conn.anchor;
-    let req_id = conn.req_id;
-    let collector = trace::Collector::global();
-    let _req_span = collector.span_from("request", collector.ns_of(anchored_at), || {
-        vec![("req", req_id.into()), ("kind", kind.into())]
+    anchored_at: Instant,
+) -> (u16, String) {
+    let batch = match parse_stage(shared, request, dequeued_at, BatchRequest::from_json) {
+        Ok(b) => b,
+        Err(resp) => return resp,
+    };
+    let metrics = &shared.metrics;
+    metrics.batch_items_total.fetch_add(batch.items.len() as u64, Ordering::Relaxed);
+    let deadline = request_deadline(shared, anchored_at, batch.deadline_ms);
+
+    // Fan the items over the pool, bounded *globally*: the batch always
+    // gets this serving worker (fan 1 runs inline) plus however many
+    // extra-thread permits remain server-wide, so W workers all serving
+    // batches at once cannot stack W² evaluation threads. Results come
+    // back in item order (run_jobs is order-stable at any parallelism).
+    let want = batch.items.len().min(shared.config.workers.get()).saturating_sub(1);
+    let extra = shared.batch_fan.acquire_up_to(want);
+    let permits = PermitGuard { permits: &shared.batch_fan, n: extra };
+    let tasks: Vec<_> = batch
+        .items
+        .iter()
+        .map(|item| move || match item {
+            Ok(req) => evaluate_item(shared, req, deadline, "batch"),
+            Err(e) => Err((400, e.clone())),
+        })
+        .collect();
+    let outcomes = timed_stage(shared, Stage::Evaluate, || run_jobs(tasks, Jobs::new(1 + extra)));
+    drop(permits);
+
+    let expired = outcomes.iter().filter(|o| matches!(o, Err((504, _)))).count() as u64;
+    if expired > 0 {
+        metrics.deadline_expired_total.fetch_add(expired, Ordering::Relaxed);
+    }
+    let errors = outcomes.iter().filter(|o| o.is_err()).count();
+    let body = timed_stage(shared, Stage::Serialize, || {
+        let items = outcomes
+            .into_iter()
+            .map(|outcome| match outcome {
+                Ok(artifact) => JsonValue::object(vec![
+                    ("status", 200u64.into()),
+                    ("result", result_to_json(&artifact.result, artifact.source_pixels)),
+                ]),
+                Err((status, message)) => JsonValue::object(vec![
+                    ("status", u64::from(status).into()),
+                    ("error", JsonValue::from(message.as_str())),
+                ]),
+            })
+            .collect();
+        JsonValue::object(vec![
+            ("count", batch.items.len().into()),
+            ("errors", errors.into()),
+            ("items", JsonValue::Array(items)),
+        ])
+        .to_json()
     });
-    let queue_wait = dequeued_at.saturating_duration_since(anchored_at);
-    shared.metrics.stage(Stage::QueueWait).record(queue_wait);
-    collector.record_manual(
-        Stage::QueueWait.name(),
-        collector.ns_of(anchored_at),
-        queue_wait.as_nanos().min(u128::from(u64::MAX)) as u64,
-        Vec::new,
-    );
+    (200, body)
+}
 
-    let stage_start = Instant::now();
-    let outcome = {
-        let _s = collector.span(Stage::Evaluate.name());
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(stage_start)))
-    };
-    shared.metrics.stage(Stage::Evaluate).record(stage_start.elapsed());
-    let (status, body) =
-        outcome.unwrap_or_else(|_| (500, error_body("session evaluation failed")));
-
-    let write_start = Instant::now();
-    let healthy = {
-        let _s = collector.span(Stage::Write.name());
-        respond(shared, conn, status, &body, keep)
-    };
-    shared.metrics.stage(Stage::Write).record(write_start.elapsed());
-    shared.metrics.latency.record(anchored_at.elapsed());
-    healthy
+/// The work of a session route: its handler (which parses its own body)
+/// runs panic-fenced in the `evaluate` stage — frame pricing runs the
+/// same engine the one-shot path does — so `/metrics` needs no new stage
+/// taxonomy. `run` is handed the stage start as its clock.
+fn session_work(shared: &Shared, run: impl FnOnce(Instant) -> (u16, String)) -> (u16, String) {
+    timed_stage(shared, Stage::Evaluate, || {
+        let now = Instant::now();
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(now)))
+    })
+    .unwrap_or_else(|_| (500, error_body("session evaluation failed")))
 }
 
 #[cfg(test)]

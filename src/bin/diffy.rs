@@ -12,10 +12,10 @@
 //! Everything is seeded and offline; models and datasets are the
 //! synthetic stand-ins described in DESIGN.md.
 
-use diffy::core::accelerator::{evaluate_network_batch, EvalOptions, SchemeChoice};
+use diffy::core::accelerator::{EvalOptions, NetworkResult, SchemeChoice};
 use diffy::core::experiment::ExperimentId;
 use diffy::core::parallel::Jobs;
-use diffy::core::runner::{SweepCache, TraceBundle, WorkloadOptions, HD_PIXELS};
+use diffy::core::runner::{EvalPoint, SweepCache, TraceBundle, WorkloadOptions, HD_PIXELS};
 use diffy::core::scaling::{fig18_memory_ladder, FIG18_TILES};
 use diffy::core::summary::{fmt_bytes, TextTable};
 use diffy::encoding::delta::delta_rows_wrapping;
@@ -217,6 +217,22 @@ fn trace(model: CiModel, opts: &WorkloadOptions) -> std::sync::Arc<TraceBundle> 
     SweepCache::global().bundle(model, DatasetId::Hd33, 0, opts)
 }
 
+/// Evaluates `model`'s [`trace`] under each of `evals` over `jobs`
+/// workers, in `evals` order, sharing the trace's term planes and
+/// traffic vectors through the process-wide cache.
+fn evaluate_all(
+    model: CiModel,
+    opts: &WorkloadOptions,
+    evals: impl IntoIterator<Item = EvalOptions>,
+    jobs: Jobs,
+) -> Vec<NetworkResult> {
+    let points: Vec<EvalPoint> = evals
+        .into_iter()
+        .map(|eval| EvalPoint { model, dataset: DatasetId::Hd33, sample: 0, workload: *opts, eval })
+        .collect();
+    SweepCache::global().evaluate_points(&points, jobs)
+}
+
 fn cmd_compare(rest: &[String]) -> Result<(), String> {
     let model = parse_model(rest)?;
     let opts = parse_opts(rest)?;
@@ -234,13 +250,9 @@ fn cmd_compare(rest: &[String]) -> Result<(), String> {
         "traffic",
     ]);
     let archs = [Architecture::Vaa, Architecture::Pra, Architecture::Diffy];
-    let eval_jobs: Vec<_> = archs
-        .iter()
-        .map(|&arch| {
-            (&bundle.trace, EvalOptions { arch, cfg: AcceleratorConfig::table4(), scheme, memory })
-        })
-        .collect();
-    let results = evaluate_network_batch(&eval_jobs, jobs);
+    let evals =
+        archs.map(|arch| EvalOptions { arch, cfg: AcceleratorConfig::table4(), scheme, memory });
+    let results = evaluate_all(model, &opts, evals, jobs);
     let base = results[0].total_cycles();
     for (arch, r) in archs.iter().zip(&results) {
         table.row(vec![
@@ -269,19 +281,15 @@ fn cmd_sweep(rest: &[String]) -> Result<(), String> {
     let mut table = TextTable::new(header);
     // The whole tiles × memory grid as one deterministic fan-out: cell
     // order is row-major, so the table reads back in job order.
-    let eval_jobs: Vec<_> = FIG18_TILES
-        .iter()
-        .flat_map(|&tiles| {
-            ladder.iter().map(move |&mem| EvalOptions {
-                arch: Architecture::Diffy,
-                cfg: AcceleratorConfig::table4().with_tiles(tiles),
-                scheme,
-                memory: mem,
-            })
+    let evals = FIG18_TILES.iter().flat_map(|&tiles| {
+        ladder.iter().map(move |&mem| EvalOptions {
+            arch: Architecture::Diffy,
+            cfg: AcceleratorConfig::table4().with_tiles(tiles),
+            scheme,
+            memory: mem,
         })
-        .map(|eval| (&bundle.trace, eval))
-        .collect();
-    let results = evaluate_network_batch(&eval_jobs, jobs);
+    });
+    let results = evaluate_all(model, &opts, evals, jobs);
     for (&tiles, row_results) in FIG18_TILES.iter().zip(results.chunks_exact(ladder.len())) {
         let mut row = vec![tiles.to_string()];
         for r in row_results {

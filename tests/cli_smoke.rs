@@ -107,6 +107,9 @@ fn trace_out_writes_chrome_trace_json() {
     assert!(!events.is_empty(), "trace must contain spans");
     assert!(text.contains("evaluate_network"), "missing evaluate_network span:\n{text}");
     assert!(text.contains("tile_sim"), "missing tile_sim span:\n{text}");
+    // Term-plane builds run through the shared cache, so they are their
+    // own spans rather than hidden in `tile_sim` self time.
+    assert!(text.contains("term_plane_build"), "missing term_plane_build span:\n{text}");
 }
 
 #[test]

@@ -11,8 +11,11 @@
 
 use diffy::core::accelerator::{evaluate_network, EvalOptions, SchemeChoice};
 use diffy::core::parallel::Jobs;
-use diffy::core::runner::{ci_trace_bundle, datasets_for, sweep_par, SweepCache, SweepJob, WorkloadOptions};
+use diffy::core::reporting::{render_report, ReportOptions};
+use diffy::core::runner::{ci_trace_bundle, datasets_for, EvalPoint, SweepCache, WorkloadOptions};
 use diffy::encoding::StorageScheme;
+use diffy::imaging::datasets::DatasetId;
+use diffy::memsys::{MemoryNode, MemorySystem};
 use diffy::models::CiModel;
 use diffy::sim::Architecture;
 
@@ -23,16 +26,17 @@ const ARCHS: [Architecture; 3] = [Architecture::Vaa, Architecture::Pra, Architec
 /// One job per `CiModel` × first dataset × architecture, in a fixed,
 /// meaningful order (model-major). Deeper dataset/sample coverage lives
 /// in the runner's own unit tests; this file is about engine identity.
-fn job_list() -> Vec<SweepJob> {
+fn job_list() -> Vec<EvalPoint> {
     let scheme = SchemeChoice::Scheme(StorageScheme::delta_d(16));
     let mut jobs = Vec::new();
     for model in CiModel::ALL {
         let dataset = datasets_for(model)[0];
         for arch in ARCHS {
-            jobs.push(SweepJob {
+            jobs.push(EvalPoint {
                 model,
                 dataset,
                 sample: 0,
+                workload: WorkloadOptions::test_small(),
                 eval: EvalOptions::new(arch, scheme),
             });
         }
@@ -71,7 +75,6 @@ fn fingerprint(r: &diffy::core::accelerator::NetworkResult) -> Fingerprint {
 
 #[test]
 fn parallel_results_are_bit_identical_to_serial_at_jobs_1_2_8() {
-    let opts = WorkloadOptions::test_small();
     let jobs = job_list();
 
     // Serial reference: fresh trace + evaluation per job, one at a time,
@@ -79,7 +82,7 @@ fn parallel_results_are_bit_identical_to_serial_at_jobs_1_2_8() {
     let serial: Vec<Fingerprint> = jobs
         .iter()
         .map(|j| {
-            let bundle = ci_trace_bundle(j.model, j.dataset, j.sample, &opts);
+            let bundle = ci_trace_bundle(j.model, j.dataset, j.sample, &j.workload);
             fingerprint(&evaluate_network(&bundle.trace, &j.eval))
         })
         .collect();
@@ -89,7 +92,8 @@ fn parallel_results_are_bit_identical_to_serial_at_jobs_1_2_8() {
     // via the cache, and evaluation must not depend on worker count.
     let cache = SweepCache::new();
     for n in [1usize, 2, 8] {
-        let par: Vec<Fingerprint> = sweep_par(&jobs, &opts, Jobs::new(n), &cache)
+        let par: Vec<Fingerprint> = cache
+            .evaluate_points(&jobs, Jobs::new(n))
             .iter()
             .map(fingerprint)
             .collect();
@@ -102,17 +106,23 @@ fn parallel_results_are_bit_identical_to_serial_at_jobs_1_2_8() {
 
 #[test]
 fn output_ordering_is_stable_across_runs() {
-    let opts = WorkloadOptions::test_small();
     let jobs = job_list();
     let cache = SweepCache::new();
-    let run1: Vec<Fingerprint> =
-        sweep_par(&jobs, &opts, Jobs::new(8), &cache).iter().map(fingerprint).collect();
-    let run2: Vec<Fingerprint> =
-        sweep_par(&jobs, &opts, Jobs::new(8), &cache).iter().map(fingerprint).collect();
+    let run1: Vec<Fingerprint> = cache
+        .evaluate_points(&jobs, Jobs::new(8))
+        .iter()
+        .map(fingerprint)
+        .collect();
+    let run2: Vec<Fingerprint> = cache
+        .evaluate_points(&jobs, Jobs::new(8))
+        .iter()
+        .map(fingerprint)
+        .collect();
     assert_eq!(run1, run2, "same jobs, same cache, same order — always");
 
     // And against a fresh cache (forces recomputation of every trace).
-    let run3: Vec<Fingerprint> = sweep_par(&jobs, &opts, Jobs::new(8), &SweepCache::new())
+    let run3: Vec<Fingerprint> = SweepCache::new()
+        .evaluate_points(&jobs, Jobs::new(8))
         .iter()
         .map(fingerprint)
         .collect();
@@ -126,11 +136,71 @@ fn output_ordering_is_stable_across_runs() {
 
 #[test]
 fn sweep_reuses_each_trace_across_architectures() {
-    let opts = WorkloadOptions::test_small();
     let jobs = job_list();
     let cache = SweepCache::new();
-    let _ = sweep_par(&jobs, &opts, Jobs::new(4), &cache);
+    let _ = cache.evaluate_points(&jobs, Jobs::new(4));
     // One trace per (model, dataset) pair — not one per job.
     assert_eq!(cache.cached_traces(), jobs.len() / ARCHS.len());
     assert_eq!(cache.cached_weights(), CiModel::ALL.len());
+}
+
+#[test]
+fn report_and_compare_results_equal_fresh_bundle_evaluation() {
+    // The oracle is a fresh, uncached `TraceBundle::evaluate` per
+    // (model, arch); the report's architecture table and the cached,
+    // fanned-out `compare` shape (one trace, every architecture, a
+    // non-default scheme and memory node) must reproduce it exactly.
+    let workload = WorkloadOptions::test_small();
+    let models = [CiModel::Ircnn, CiModel::JointNet];
+    let report_scheme = SchemeChoice::Scheme(StorageScheme::delta_d(16));
+    let compare_eval = |arch| EvalOptions {
+        scheme: SchemeChoice::Scheme(StorageScheme::raw_d(16)),
+        memory: MemorySystem::single(MemoryNode::Lpddr3_1600),
+        ..EvalOptions::new(arch, report_scheme)
+    };
+    let fresh: Vec<_> = models
+        .map(|m| ci_trace_bundle(m, DatasetId::Hd33, 0, &workload))
+        .into();
+
+    for n in [1usize, 4] {
+        let report = render_report(&ReportOptions {
+            workload,
+            models: CiModel::ALL.map(|m| models.contains(&m)),
+            jobs: Jobs::new(n),
+        });
+        let cache = SweepCache::new();
+        for (&model, bundle) in models.iter().zip(&fresh) {
+            let [vaa, pra, diffy] =
+                ARCHS.map(|arch| bundle.evaluate(&EvalOptions::new(arch, report_scheme)));
+            let row = format!(
+                "| {} | {:.2} | {:.2} | {:.2} | {:.2}x | {:.2}x |",
+                model.name(),
+                bundle.hd_fps(&vaa),
+                bundle.hd_fps(&pra),
+                bundle.hd_fps(&diffy),
+                vaa.total_cycles() as f64 / diffy.total_cycles() as f64,
+                pra.total_cycles() as f64 / diffy.total_cycles() as f64,
+            );
+            assert!(
+                report.lines().any(|l| l == row),
+                "jobs={n}: missing {row:?} in\n{report}"
+            );
+
+            let points = ARCHS.map(|arch| EvalPoint {
+                model,
+                dataset: DatasetId::Hd33,
+                sample: 0,
+                workload,
+                eval: compare_eval(arch),
+            });
+            let served = cache.evaluate_points(&points, Jobs::new(n));
+            for (got, arch) in served.iter().zip(ARCHS) {
+                assert_eq!(
+                    *got,
+                    bundle.evaluate(&compare_eval(arch)),
+                    "jobs={n}: {model} {arch:?}"
+                );
+            }
+        }
+    }
 }

@@ -81,9 +81,9 @@ fn one_request_yields_a_consistent_stage_breakdown() {
     let request_id = arg_u64(request, "span_id").expect("request span_id");
     let request_ms = request.get("dur").unwrap().as_f64().unwrap() / 1000.0;
 
-    // The six stages tile the request span: their durations must sum to
+    // The five stages tile the request span: their durations must sum to
     // the request duration, and that must match the /metrics latency.
-    let stage_names = ["queue_wait", "parse", "trace", "evaluate", "serialize", "write"];
+    let stage_names = ["queue_wait", "parse", "evaluate", "serialize", "write"];
     let mut stage_sum_ms = 0.0;
     for name in stage_names {
         let stage: Vec<&JsonValue> = events(&trace)

@@ -9,7 +9,7 @@
 
 use diffy::core::accelerator::{EvalOptions, SchemeChoice};
 use diffy::core::parallel::Jobs;
-use diffy::core::runner::{sweep_par, SweepCache, SweepJob, WorkloadOptions};
+use diffy::core::runner::{EvalPoint, SweepCache, WorkloadOptions};
 use diffy::core::trace::{Collector, TraceLog};
 use diffy::encoding::StorageScheme;
 use diffy::models::CiModel;
@@ -23,19 +23,25 @@ static TRACE_LOCK: Mutex<()> = Mutex::new(());
 /// Runs `jobs` through a fresh cache at `n` workers and captures the
 /// resulting trace. The collector is drained before and after so each
 /// capture stands alone.
-fn capture(jobs: &[SweepJob], n: usize) -> TraceLog {
+fn capture(jobs: &[EvalPoint], n: usize) -> TraceLog {
     let collector = Collector::global();
     collector.drain();
     collector.start();
-    let _ = sweep_par(jobs, &WorkloadOptions::test_small(), Jobs::new(n), &SweepCache::new());
+    let _ = SweepCache::new().evaluate_points(jobs, Jobs::new(n));
     collector.stop();
     collector.drain()
 }
 
-fn job(model: CiModel, arch: Architecture) -> SweepJob {
+fn job(model: CiModel, arch: Architecture) -> EvalPoint {
     let dataset = diffy::core::runner::datasets_for(model)[0];
     let scheme = SchemeChoice::Scheme(StorageScheme::delta_d(16));
-    SweepJob { model, dataset, sample: 0, eval: EvalOptions::new(arch, scheme) }
+    EvalPoint {
+        model,
+        dataset,
+        sample: 0,
+        workload: WorkloadOptions::test_small(),
+        eval: EvalOptions::new(arch, scheme),
+    }
 }
 
 #[test]
